@@ -1,8 +1,9 @@
 // Memory-efficiency benchmark (DESIGN.md §11): the fleet-scale cost axes
 // the latency benches don't see. Four sections:
 //
-//   1. Steady-state allocations/request on the serving path, arena scratch
-//      on vs off, with bit-identical predictions either way.
+//   1. Steady-state allocations/request on the serving path, reused
+//      per-worker scratch vs a fresh scratch per request, with bit-identical
+//      predictions either way.
 //   2. Per-replica heap cost of loading the same artifact N times with the
 //      content-hash intern pool on vs off (CoW fitted state).
 //   3. Artifact bytes under the WLMP v4 per-section codecs vs the v3
@@ -134,8 +135,8 @@ std::size_t proc_status_kib(const char* key) {
 
 double mib(double bytes) { return bytes / (1024.0 * 1024.0); }
 
-/// Section 1: steady-state allocations/request, per-worker arena scratch on
-/// vs off. Music is the all-numeric shape (table lookups + GBDT; both the
+/// Section 1: steady-state allocations/request, per-worker request scratch
+/// vs a fresh scratch per request. Music is the all-numeric shape (table lookups + GBDT; both the
 /// feature assembly and the tree traversal reuse persistent scratch) where
 /// the arena path should hit zero heap traffic; toxic materializes a
 /// lowercased string column and its n-gram staging per request (strings
@@ -143,7 +144,7 @@ double mib(double bytes) { return bytes / (1024.0 * 1024.0); }
 /// fresh-state count rather than zero.
 void bench_allocations(const workloads::Workload& wl,
                        const core::OptimizedPipeline& p, bool expect_zero) {
-  std::printf("\n-- %s: allocations per request (arena on vs off) --\n",
+  std::printf("\n-- %s: allocations per request (request vs fresh scratch) --\n",
               wl.name.c_str());
   const std::size_t n =
       std::min<std::size_t>(wl.test.inputs.num_rows(), smoke() ? 64 : 512);
@@ -159,28 +160,36 @@ void bench_allocations(const workloads::Workload& wl,
   std::vector<double> preds_on(n), preds_off(n);
   double out_one[1];
 
-  const auto run = [&](std::vector<double>& preds) {
+  // Arena arm: the serving path, which reuses the worker's request scratch.
+  const auto run_arena = [&](std::vector<double>& preds) {
     for (std::size_t i = 0; i < n; ++i) {
       p.predict_into(rows[i], {out_one, 1});
       preds[i] = out_one[0];
     }
   };
+  // Fresh arm: the same executor path over a new scratch per request
+  // (compiled_config pipelines serve without cascades, cache or pool).
+  const auto run_fresh = [&](std::vector<double>& preds) {
+    for (std::size_t i = 0; i < n; ++i) {
+      core::ExecScratch fresh;
+      p.full_model().predict_into(
+          p.executor().compute_matrix_into(rows[i], fresh), {out_one, 1});
+      preds[i] = out_one[0];
+    }
+  };
 
-  core::set_request_scratch_enabled(true);
-  run(preds_on);  // warmup: faults scratch, grows capacities to steady state
-  run(preds_on);
+  run_arena(preds_on);  // warmup: faults scratch, grows capacities to steady state
+  run_arena(preds_on);
   const std::uint64_t a0 = allocs_now();
-  run(preds_on);
+  run_arena(preds_on);
   const double arena_per_req =
       static_cast<double>(allocs_now() - a0) / static_cast<double>(n);
 
-  core::set_request_scratch_enabled(false);
-  run(preds_off);  // warmup for symmetric treatment
+  run_fresh(preds_off);  // warmup for symmetric treatment
   const std::uint64_t b0 = allocs_now();
-  run(preds_off);
+  run_fresh(preds_off);
   const double plain_per_req =
       static_cast<double>(allocs_now() - b0) / static_cast<double>(n);
-  core::set_request_scratch_enabled(true);
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -340,8 +349,8 @@ int main(int argc, char** argv) {
   const auto wl_toxic = make_workload("toxic");
   // Pin the kernel/feature-op configs instead of autotuning: the tuner
   // picks by *timing*, so under a loaded machine (parallel ctest) it can
-  // install a different plan — e.g. zero-copy off — which changes the
-  // allocation profile of both arms. A memory bench measures the intended
+  // install a different feature-op config, which can change the allocation
+  // profile of both arms. A memory bench measures the intended
   // serving path, deterministically; pinning also keeps the artifact bytes
   // identical run to run (no measured timings in the KERN section).
   auto opts = compiled_config();

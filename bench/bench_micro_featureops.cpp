@@ -1,6 +1,6 @@
 // Microbenchmark of the feature-operator kernel layer (DESIGN.md §10): the
 // batched TF-IDF transform, the sparse-GBDT traversal that skips per-block
-// densification, and the zero-copy planned feature assembly — the
+// densification, and the executor's planned feature assembly — the
 // feature-side counterpart of bench_micro_kernels' model-side sections.
 // Each section times the same fitted state under the pre-kernel code shape
 // (per-document std::string n-grams + unordered_map counts + append_row;
@@ -10,7 +10,7 @@
 // `--trend` asserts the layer's acceptance floors: blocked TF-IDF >= 2x the
 // per-document scalar reference, CSR GBDT traversal >= 1.3x densify on
 // wide-sparse inputs, music feature stage >= 1.5x and end-to-end music
-// >= 1.3x over the zero-copy-off reference with bit-exact predictions, and
+// >= 1.3x over the per-op-block reference with bit-exact predictions, and
 // the op-level autotuned pipeline never losing to the forced reference.
 // The nightly ctest tier drives it this way; `--smoke` only proves the
 // binary runs end-to-end.
@@ -262,30 +262,33 @@ void bench_sparse_gbdt() {
 
 /// Sections 3+4: feature-stage and end-to-end contribution on music
 /// (Figure 5's shape: six table-lookup generators feeding a GBDT). All
-/// arms share one forced model-kernel config so the pipelines differ ONLY
-/// in the feature layer: the reference arm assembles per-op blocks with
-/// the pairwise-hconcat fold (the pre-PR shape), the zero-copy arm writes
-/// lookup rows straight into the final matrix, and the autotuned arm lets
-/// the op-level tuner pick.
+/// arms share one forced model-kernel config so they differ ONLY in the
+/// feature layer: the reference arm is built here from the executor's
+/// public seams — one block per generator (compute_blocks) folded by
+/// pairwise FeatureMatrix::hconcat_all, the pre-planner shape — the planned
+/// arm is the executor's compute_matrix, where the lookup ops write their
+/// rows straight into the final matrix, and the autotuned arm lets the
+/// op-level tuner pick.
 void bench_music() {
-  std::printf("\n-- Music feature stage + end-to-end (zero-copy assembly) --\n");
+  std::printf("\n-- Music feature stage + end-to-end (planned assembly) --\n");
   const auto wl = make_workload("music");
   const std::size_t rows = wl.test.inputs.num_rows();
 
-  core::OptimizeOptions ref_opts = compiled_config();
-  ref_opts.kernel_config = kernels::native_config();
-  ref_opts.featureop_config =
-      kernels::FeatureOpConfig{kernels::LookupVariant::HashMap, 256, false};
-  const auto reference = optimize(wl, ref_opts);
-
-  core::OptimizeOptions zc_opts = ref_opts;
-  zc_opts.featureop_config =
-      kernels::FeatureOpConfig{kernels::LookupVariant::HashMap, 256, true};
-  const auto zero_copy = optimize(wl, zc_opts);
+  core::OptimizeOptions forced_opts = compiled_config();
+  forced_opts.kernel_config = kernels::native_config();
+  forced_opts.featureop_config =
+      kernels::FeatureOpConfig{kernels::LookupVariant::HashMap, 256};
+  const auto planned = optimize(wl, forced_opts);
 
   core::OptimizeOptions tuned_opts = compiled_config();
   tuned_opts.kernel_config = kernels::native_config();  // isolate the op layer
   const auto tuned = optimize(wl, tuned_opts);
+
+  // Music has no post-concatenation chain, so the fold is the whole matrix.
+  const core::Executor& exec = planned.executor();
+  const auto reference_matrix = [&] {
+    return data::FeatureMatrix::hconcat_all(exec.compute_blocks(wl.test.inputs, {}));
+  };
 
   const auto feature_tput = [&](const core::OptimizedPipeline& p) {
     return throughput_rows_per_sec(rows, reps(), [&] {
@@ -297,41 +300,45 @@ void bench_music() {
         rows, reps(), [&] { (void)p.predict(wl.test.inputs); });
   };
 
-  const double ref_feat = feature_tput(reference);
-  const double zc_feat = feature_tput(zero_copy);
+  const double ref_feat = throughput_rows_per_sec(
+      rows, reps(), [&] { (void)reference_matrix(); });
+  const double planned_feat = feature_tput(planned);
   const double tuned_feat = feature_tput(tuned);
-  const double ref_e2e = e2e_tput(reference);
-  const double zc_e2e = e2e_tput(zero_copy);
+  const double ref_e2e = throughput_rows_per_sec(rows, reps(), [&] {
+    (void)planned.full_model().predict(reference_matrix());
+  });
+  const double planned_e2e = e2e_tput(planned);
   const double tuned_e2e = e2e_tput(tuned);
 
   TablePrinter table({"config", "feat rows/s", "e2e rows/s", "e2e speedup"});
   table.print_header();
   table.print_row({"reference", fmt("%.0f", ref_feat), fmt("%.0f", ref_e2e),
                    "1.00x"});
-  table.print_row({"zero-copy", fmt("%.0f", zc_feat), fmt("%.0f", zc_e2e),
-                   fmt("%.2fx", zc_e2e / ref_e2e)});
+  table.print_row({"planned", fmt("%.0f", planned_feat),
+                   fmt("%.0f", planned_e2e),
+                   fmt("%.2fx", planned_e2e / ref_e2e)});
   table.print_row({"autotuned", fmt("%.0f", tuned_feat), fmt("%.0f", tuned_e2e),
                    fmt("%.2fx", tuned_e2e / ref_e2e)});
 
   const auto& ops_cfg = tuned.autotune_report().ops;
-  std::printf("autotuned op config: lookup=%s block_rows=%u zero_copy=%s\n",
-              kernels::variant_name(ops_cfg.lookup), ops_cfg.block_rows,
-              ops_cfg.zero_copy ? "on" : "off");
+  std::printf("autotuned op config: lookup=%s block_rows=%u\n",
+              kernels::variant_name(ops_cfg.lookup), ops_cfg.block_rows);
 
-  // Bit-exact predictions: identical features => identical training =>
-  // identical models, so the arms must agree to the last bit.
-  const std::vector<double> pred_ref = reference.predict(wl.test.inputs);
-  const std::vector<double> pred_zc = zero_copy.predict(wl.test.inputs);
+  // Bit-exact predictions: both arms feed the same model, so identical
+  // features must give identical predictions to the last bit.
+  const std::vector<double> pred_ref =
+      planned.full_model().predict(reference_matrix());
+  const std::vector<double> pred_planned = planned.predict(wl.test.inputs);
   std::size_t mismatches = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    if (pred_ref[r] != pred_zc[r]) ++mismatches;
+    if (pred_ref[r] != pred_planned[r]) ++mismatches;
   }
   std::printf("parity: %zu mismatched predictions (must be 0)\n", mismatches);
 
-  check_trend(mismatches == 0, "zero-copy predictions bit-exact with reference");
-  check_trend(zc_feat >= 1.5 * ref_feat,
-              "music feature stage >= 1.5x with zero-copy assembly");
-  check_trend(zc_e2e >= 1.3 * ref_e2e,
+  check_trend(mismatches == 0, "planned predictions bit-exact with reference");
+  check_trend(planned_feat >= 1.5 * ref_feat,
+              "music feature stage >= 1.5x with planned assembly");
+  check_trend(planned_e2e >= 1.3 * ref_e2e,
               "music end-to-end >= 1.3x over per-op-block reference");
   check_trend(tuned_e2e >= 0.95 * ref_e2e,
               "op-autotuned pipeline never loses to the forced reference");
@@ -342,7 +349,7 @@ void bench_music() {
 int main(int argc, char** argv) {
   parse_args(argc, argv);
   print_banner(
-      "Feature-operator kernels (blocked TF-IDF, sparse GBDT, zero-copy "
+      "Feature-operator kernels (blocked TF-IDF, sparse GBDT, planned "
       "assembly)",
       "DESIGN.md §10 (feature layer under Figure 5's compiled config)");
 

@@ -112,7 +112,7 @@ class Arena {
     std::size_t want = bytes + align;
     if (want < next_chunk_bytes_) want = next_chunk_bytes_;
     Chunk c;
-    c.data = std::make_unique<std::uint8_t[]>(want);
+    c.data = std::make_unique_for_overwrite<std::uint8_t[]>(want);
     c.size = want;
     ++chunk_allocations_;
     next_chunk_bytes_ = want * 2;  // geometric growth caps chunk count

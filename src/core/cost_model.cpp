@@ -215,31 +215,9 @@ kernels::FeatureOpConfig tune_feature_ops(
     best = pick;
   }
 
-  // Stage 2: zero-copy planned assembly off/on. Off is the reference
-  // blocks+hconcat path; both produce bit-identical matrices.
-  {
-    double best_s = std::numeric_limits<double>::infinity();
-    kernels::FeatureOpConfig pick = best;
-    for (const bool zc : {false, true}) {
-      kernels::FeatureOpConfig c = best;
-      c.zero_copy = zc;
-      executor.set_featureop_config(c);
-      const double s = time_compute_matrix(executor, sample, cfg.reps);
-      if (timings != nullptr) {
-        timings->push_back(
-            {std::string("ops/zero_copy:") + (zc ? "on" : "off"), s});
-      }
-      if (s < best_s) {
-        best_s = s;
-        pick = c;
-      }
-    }
-    best = pick;
-  }
-
-  // Stage 3: dense assembly row-chunk size — the cache-blocking granularity
-  // of the fused concat. Irrelevant when stage 2 kept the fallback path.
-  if (best.zero_copy && !cfg.block_rows.empty()) {
+  // Stage 2: dense assembly row-chunk size — the cache-blocking granularity
+  // of the fused concat.
+  if (!cfg.block_rows.empty()) {
     double best_s = std::numeric_limits<double>::infinity();
     kernels::FeatureOpConfig pick = best;
     for (std::uint32_t b : cfg.block_rows) {

@@ -46,8 +46,8 @@ kernels::KernelConfig tune_model_kernels(
 
 /// Time op-level choices for a compiled executor's feature pipeline on a
 /// sample batch and install the winners: vocabulary lookup strategy (only
-/// when the graph tokenizes — a TF-IDF op consults it), zero-copy planned
-/// assembly off/on, and the dense assembly row-chunk size. Greedy stages on
+/// when the graph tokenizes — a TF-IDF op consults it), one-hot hashing
+/// shape (only when the graph hashes), and the dense assembly row-chunk size. Greedy stages on
 /// independent axes, same measurement discipline as tune_model_kernels;
 /// every feature-op choice is bit-exact, so timing is the only criterion.
 kernels::FeatureOpConfig tune_feature_ops(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,39 +12,9 @@
 
 namespace willump::core {
 
-namespace {
-
-/// -1 = unset (read WILLUMP_ARENA on first use), else 0/1.
-std::atomic<int> g_request_scratch_enabled{-1};
-
-bool request_scratch_on() {
-  int v = g_request_scratch_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("WILLUMP_ARENA");
-    v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
-    g_request_scratch_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-std::size_t request_arena_chunk_bytes() {
-  if (const char* e = std::getenv("WILLUMP_ARENA_CHUNK_KB")) {
-    const long kb = std::strtol(e, nullptr, 10);
-    if (kb > 0) return static_cast<std::size_t>(kb) * 1024;
-  }
-  return 256u * 1024;
-}
-
-}  // namespace
-
-ExecScratch* request_scratch() {
-  if (!request_scratch_on()) return nullptr;
-  thread_local ExecScratch scratch(request_arena_chunk_bytes());
-  return &scratch;
-}
-
-void set_request_scratch_enabled(bool enabled) {
-  g_request_scratch_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+ExecScratch& request_scratch() {
+  thread_local ExecScratch scratch;
+  return scratch;
 }
 
 namespace {
@@ -159,6 +129,69 @@ data::FeatureMatrix block_from_rows(const std::vector<CachedRow>& rows) {
       data::CsrMatrix::from_rows(sparse[0].dim(), sparse));
 }
 
+/// Fused k-way dense concat: copy every selected block's rows into its
+/// column slice of one preallocated matrix, row-chunk-major so the
+/// destination chunk stays cache-resident across the k sources. One copy
+/// per element vs the pairwise hconcat fold's O(k) copies. `out` is rebuilt
+/// in place (capacity reuse on persistent destinations).
+void fused_dense_concat(const std::vector<const data::FeatureMatrix*>& blocks,
+                        std::size_t rows, std::size_t total_cols,
+                        std::size_t block_rows, data::DenseMatrix& out) {
+  out.reshape(rows, total_cols);
+  double* dst = out.mutable_data().data();
+  for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
+    const std::size_t r1 = std::min(rows, r0 + block_rows);
+    std::size_t col_off = 0;
+    for (const auto* b : blocks) {
+      const auto& d = b->dense();
+      const std::size_t w = d.cols();
+      for (std::size_t r = r0; r < r1; ++r) {
+        auto src = d.row(r);
+        std::copy(src.begin(), src.end(), dst + r * total_cols + col_off);
+      }
+      col_off += w;
+    }
+  }
+}
+
+/// Fused k-way sparse concat: stream every block's row entries (with column
+/// offsets; dense blocks drop zeros, exactly as FeatureMatrix::to_csr does
+/// inside the pairwise fold) into one output CSR — a single pass instead of
+/// k-1 intermediate matrices. `out` is rebuilt in place.
+void fused_sparse_concat(const std::vector<const data::FeatureMatrix*>& blocks,
+                         std::size_t rows, std::size_t total_cols,
+                         data::CsrMatrix& out) {
+  std::size_t nnz_guess = 0;
+  for (const auto* b : blocks) {
+    nnz_guess += b->is_sparse() ? b->sparse().nnz() : b->rows();
+  }
+  out.reset(static_cast<std::int32_t>(total_cols));
+  out.reserve(rows, nnz_guess);
+  std::vector<data::SparseEntry> row;
+  for (std::size_t r = 0; r < rows; ++r) {
+    row.clear();
+    std::int32_t col_off = 0;
+    for (const auto* b : blocks) {
+      if (b->is_sparse()) {
+        const auto rv = b->sparse().row(r);
+        for (std::size_t k = 0; k < rv.nnz(); ++k) {
+          row.push_back({rv.indices[k] + col_off, rv.values[k]});
+        }
+        col_off += b->sparse().cols();
+      } else {
+        const auto rv = b->dense().row(r);
+        for (std::size_t c = 0; c < rv.size(); ++c) {
+          if (rv[c] != 0.0) {
+            row.push_back({col_off + static_cast<std::int32_t>(c), rv[c]});
+          }
+        }
+        col_off += static_cast<std::int32_t>(rv.size());
+      }
+    }
+    out.append_row(row);
+  }
+}
+
 }  // namespace
 
 Executor::Executor(Graph graph, IfvAnalysis analysis)
@@ -167,17 +200,41 @@ Executor::Executor(Graph graph, IfvAnalysis analysis)
 data::FeatureMatrix Executor::assemble(
     const std::vector<data::FeatureMatrix>& blocks,
     const std::vector<bool>& mask) const {
-  std::vector<data::FeatureMatrix> selected;
+  data::FeatureMatrix m;
+  assemble_into(blocks, mask, m);
+  return m;
+}
+
+void Executor::assemble_into(const std::vector<data::FeatureMatrix>& blocks,
+                             const std::vector<bool>& mask,
+                             data::FeatureMatrix& out) const {
+  std::vector<const data::FeatureMatrix*> parts;
   bool full = true;
+  bool any_sparse = false;
+  std::size_t total_cols = 0;
   for (std::size_t f = 0; f < analysis_.generators.size(); ++f) {
-    if (fg_selected(mask, f)) {
-      selected.push_back(blocks[f]);
-    } else {
+    if (!fg_selected(mask, f)) {
       full = false;
+      continue;
     }
+    const auto& b = blocks[f];
+    if (b.rows() == 0 && b.cols() == 0) continue;  // identity, as hconcat
+    if (!parts.empty() && b.rows() != parts[0]->rows()) {
+      throw std::invalid_argument("assemble: block row counts differ");
+    }
+    parts.push_back(&b);
+    any_sparse = any_sparse || b.is_sparse();
+    total_cols += b.cols();
   }
-  data::FeatureMatrix m = data::FeatureMatrix::hconcat_all(selected);
-  return apply_post_chain(std::move(m), mask, full);
+  if (parts.empty()) {
+    out = data::FeatureMatrix();
+  } else if (any_sparse) {
+    fused_sparse_concat(parts, parts[0]->rows(), total_cols, out.ensure_sparse());
+  } else {
+    fused_dense_concat(parts, parts[0]->rows(), total_cols,
+                       assemble_block_rows(), out.ensure_dense());
+  }
+  out = apply_post_chain(std::move(out), mask, full);
 }
 
 data::FeatureMatrix Executor::apply_post_chain(data::FeatureMatrix m,
@@ -205,16 +262,9 @@ data::FeatureMatrix Executor::apply_post_chain(data::FeatureMatrix m,
 
 data::FeatureMatrix Executor::compute_matrix(const data::Batch& batch,
                                              const ExecOptions& opts) const {
-  return assemble(compute_blocks(batch, opts), opts.fg_mask);
-}
-
-const data::FeatureMatrix& Executor::compute_matrix_into(
-    const data::Batch& batch, ExecScratch& scratch,
-    const ExecOptions& opts) const {
-  ExecOptions o = opts;
-  o.scratch = &scratch;
-  scratch.result = compute_matrix(batch, o);
-  return scratch.result;
+  ExecScratch scratch;
+  compute_matrix_into(batch, scratch, opts);
+  return std::move(scratch.result);
 }
 
 void Executor::probe_layout(const data::Batch& probe) {
@@ -395,6 +445,13 @@ std::vector<data::FeatureMatrix> InterpretedExecutor::compute_blocks(
   return blocks;
 }
 
+const data::FeatureMatrix& InterpretedExecutor::compute_matrix_into(
+    const data::Batch& batch, ExecScratch& scratch,
+    const ExecOptions& opts) const {
+  assemble_into(compute_blocks(batch, opts), opts.fg_mask, scratch.result);
+  return scratch.result;
+}
+
 // ---------------------------------------------------------------------------
 // Compiled engine
 // ---------------------------------------------------------------------------
@@ -415,6 +472,30 @@ int count_language_transitions(const Graph& g, const std::vector<int>& order) {
 }
 
 namespace {
+
+/// Lap stopwatch for step accounting that reads the clock only when a
+/// profiler or DriverStats records the steps: on single-row requests the
+/// clock reads would cost about as much as the lookups they time.
+class StepClock {
+ public:
+  explicit StepClock(const ExecOptions& opts)
+      : on_(opts.profiler != nullptr || opts.drivers != nullptr) {
+    lap();
+  }
+
+  /// Seconds since the previous lap (0 when nothing records).
+  double lap() {
+    if (!on_) return 0.0;
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+    return s;
+  }
+
+ private:
+  bool on_;
+  std::chrono::steady_clock::time_point last_;
+};
 
 /// Hoist each non-compilable ("Python") node to the earliest position that
 /// still follows all of its inputs — the paper's transition-minimizing sort.
@@ -497,23 +578,17 @@ CompiledExecutor::CompiledExecutor(Graph graph, IfvAnalysis analysis)
       plan_(compile_plan(graph_, analysis_)) {}
 
 std::span<const data::Value> CompiledExecutor::gather_inputs(
-    const Node& node, const data::Batch& batch, Frame& frame,
-    std::vector<data::Value>& tmp) const {
-  auto& store = frame.store;
+    const Node& node, const data::Batch& batch, ExecScratch& scratch) const {
+  auto& store = scratch.store;
   for (int in : node.inputs) {
     const Node& src = graph_.node(in);
     if (src.kind != NodeKind::Source) continue;
     const auto i = static_cast<std::size_t>(in);
-    if (frame.source_bound != nullptr) {
-      // Persistent store: the slot may hold last batch's column, so an
-      // explicit per-entry bit is the bind indicator; assign_column reuses
-      // the stale column's heap capacity.
-      if (!(*frame.source_bound)[i]) {
-        store[i].assign_column(batch.get(src.name));
-        (*frame.source_bound)[i] = 1;
-      }
-    } else if (store[i].empty()) {
-      store[i] = data::Value(batch.get(src.name));
+    // The slot may hold last batch's column, so the per-entry bit is the
+    // bind indicator; assign_column reuses the stale column's capacity.
+    if (!scratch.source_bound[i]) {
+      store[i].assign_column(batch.get(src.name));
+      scratch.source_bound[i] = 1;
     }
   }
   if (node.inputs.size() == 1) {
@@ -521,6 +596,7 @@ std::span<const data::Value> CompiledExecutor::gather_inputs(
     // no per-step deep Value copy.
     return {&store[static_cast<std::size_t>(node.inputs[0])], 1};
   }
+  auto& tmp = scratch.gather_tmp;
   tmp.clear();
   tmp.reserve(node.inputs.size());
   for (int in : node.inputs) {
@@ -529,22 +605,30 @@ std::span<const data::Value> CompiledExecutor::gather_inputs(
   return {tmp.data(), tmp.size()};
 }
 
+void CompiledExecutor::record_step(int node, double driver_s, double kernel_s,
+                                   const ExecOptions& opts) {
+  if (opts.profiler != nullptr) {
+    opts.profiler->record(node, driver_s + kernel_s);
+  }
+  if (opts.drivers != nullptr) {
+    opts.drivers->driver_seconds += driver_s;
+    opts.drivers->kernel_seconds += kernel_s;
+    ++opts.drivers->block_entries;
+  }
+}
+
 void CompiledExecutor::run_steps(std::span<const PlanStep> steps,
-                                 const data::Batch& batch, Frame& frame,
+                                 const data::Batch& batch, ExecScratch& scratch,
                                  const ExecOptions& opts) const {
-  std::vector<data::Value> local_tmp;
-  std::vector<data::Value>& tmp =
-      frame.gather_tmp != nullptr ? *frame.gather_tmp : local_tmp;
+  StepClock clock(opts);
   for (const auto& step : steps) {
-    common::Timer driver_timer;
     // Driver stage: bind source inputs and gather operand values — the O(1)
     // marshaling the paper's C++ drivers perform.
     const Node& first = graph_.node(step.nodes.front());
-    const auto inputs = gather_inputs(first, batch, frame, tmp);
-    const double driver_s = driver_timer.elapsed_seconds();
+    const auto inputs = gather_inputs(first, batch, scratch);
+    const double driver_s = clock.lap();
 
-    common::Timer kernel_timer;
-    data::Value& slot = frame.store[static_cast<std::size_t>(step.nodes.back())];
+    data::Value& slot = scratch.store[static_cast<std::size_t>(step.nodes.back())];
     if (step.fused()) {
       // Fused string chain: one pass over the column, no intermediate
       // materialization (loop fusion).
@@ -563,41 +647,27 @@ void CompiledExecutor::run_steps(std::span<const PlanStep> steps,
                    dynamic_cast<const ops::SparseBlockEmitter*>(first.op.get());
                emitter != nullptr) {
       // Sparse block producers run their batched kernel with the tuned
-      // lookup strategy even outside the zero-copy plan (cached, pooled and
-      // masked paths included); rows are bit-identical to eval_batch.
-      const ops::BlockExecContext ctx{opcfg_, frame.arena};
-      if (frame.source_bound != nullptr) {
-        // Persistent store: rebuild the slot's CSR in place so its index /
-        // value arrays keep last batch's capacity.
-        if (!slot.is_features()) {
-          slot = data::Value(data::FeatureMatrix(data::CsrMatrix(0)));
-        }
-        emitter->emit_into(inputs, ctx, slot.mutable_features().ensure_sparse());
-      } else {
-        slot = data::Value(data::FeatureMatrix(emitter->emit_batch(inputs, ctx)));
+      // lookup strategy, rebuilding the slot's CSR in place so its index /
+      // value arrays keep last batch's capacity; rows are bit-identical to
+      // eval_batch.
+      if (!slot.is_features()) {
+        slot = data::Value(data::FeatureMatrix(data::CsrMatrix(0)));
       }
+      emitter->emit_into(inputs, {opcfg_, &scratch.arena},
+                         slot.mutable_features().ensure_sparse());
     } else {
       slot = first.op->eval_batch(inputs);
     }
-    const double kernel_s = kernel_timer.elapsed_seconds();
-
-    if (opts.profiler != nullptr) {
-      opts.profiler->record(step.nodes.back(), driver_s + kernel_s);
-    }
-    if (opts.drivers != nullptr) {
-      opts.drivers->driver_seconds += driver_s;
-      opts.drivers->kernel_seconds += kernel_s;
-      ++opts.drivers->block_entries;
-    }
+    record_step(step.nodes.back(), driver_s, clock.lap(), opts);
   }
 }
 
 data::FeatureMatrix CompiledExecutor::compute_block_plain(
-    const data::Batch& batch, std::size_t f, Frame& frame,
+    const data::Batch& batch, std::size_t f, ExecScratch& scratch,
     const ExecOptions& opts) const {
   const auto& fg = analysis_.generators[f];
-  run_steps(plan_.fg_steps[f], batch, frame, opts);
-  return frame.store[static_cast<std::size_t>(fg.output_node)].features();
+  run_steps(plan_.fg_steps[f], batch, scratch, opts);
+  return scratch.store[static_cast<std::size_t>(fg.output_node)].features();
 }
 
 data::FeatureMatrix CompiledExecutor::compute_block_cached(
@@ -627,10 +697,10 @@ data::FeatureMatrix CompiledExecutor::compute_block_cached(
     // Recompute only the missing rows: preprocessing + this generator on the
     // row subset (so a remote lookup fetches only the missing keys).
     const data::Batch sub = batch.select_rows(missing);
-    std::vector<data::Value> store(graph_.size());
-    Frame frame{store};
-    run_steps(plan_.preprocessing, sub, frame, opts);
-    const data::FeatureMatrix block = compute_block_plain(sub, f, frame, opts);
+    ExecScratch scratch;
+    scratch.begin(graph_.size());
+    run_steps(plan_.preprocessing, sub, scratch, opts);
+    const data::FeatureMatrix block = compute_block_plain(sub, f, scratch, opts);
     for (std::size_t i = 0; i < missing.size(); ++i) {
       cache.insert(f, keys[missing[i]], cached_row_of(block, i));
     }
@@ -646,11 +716,19 @@ data::FeatureMatrix CompiledExecutor::compute_block_cached(
 
 std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     const data::Batch& batch, const ExecOptions& opts) const {
+  ExecScratch scratch;
+  return compute_blocks(batch, opts, scratch);
+}
+
+std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
+    const data::Batch& batch, const ExecOptions& opts,
+    ExecScratch& scratch) const {
   const std::size_t num_fg = analysis_.generators.size();
   std::vector<data::FeatureMatrix> blocks(num_fg);
 
   // Which generators are we computing?
-  std::vector<std::size_t> selected;
+  auto& selected = scratch.selected;
+  selected.clear();
   for (std::size_t f = 0; f < num_fg; ++f) {
     if (fg_selected(opts.fg_mask, f)) selected.push_back(f);
   }
@@ -664,25 +742,11 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     return blocks;
   }
 
-  // The persistent scratch store only backs the serial path: pooled tasks
-  // copy the seeded store into private vectors (and must not share the
-  // single-threaded arena).
-  ExecScratch* sc = opts.pool == nullptr ? opts.scratch : nullptr;
-  std::vector<data::Value> local_store;
-  if (sc != nullptr) {
-    sc->begin(graph_.size());
-  } else {
-    local_store.resize(graph_.size());
-  }
-  Frame frame = sc != nullptr
-                    ? Frame{sc->store, &sc->source_bound, &sc->arena,
-                            &sc->gather_tmp}
-                    : Frame{local_store};
-  run_steps(plan_.preprocessing, batch, frame, opts);
-
   if (opts.pool == nullptr || selected.size() < 2) {
+    scratch.begin(graph_.size());
+    run_steps(plan_.preprocessing, batch, scratch, opts);
     for (std::size_t f : selected) {
-      blocks[f] = compute_block_plain(batch, f, frame, opts);
+      blocks[f] = compute_block_plain(batch, f, scratch, opts);
     }
     return blocks;
   }
@@ -713,252 +777,121 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     group_cost[g] += f < fg_costs_.size() ? fg_costs_[f] : 1.0;
   }
 
+  // Preprocessing runs once into a fresh scratch that seeds every task's
+  // private copy: the caller's scratch may hold last batch's values, which
+  // tasks would otherwise copy for nothing.
+  ExecScratch seed;
+  seed.begin(graph_.size());
+  run_steps(plan_.preprocessing, batch, seed, opts);
+
   std::vector<std::function<void()>> tasks;
   for (auto& group : groups) {
     if (group.empty()) continue;
-    tasks.push_back([this, &batch, &blocks, &local_store, &opts, group] {
-      // Each task gets its own store copy seeded with preprocessing
-      // results; generators write disjoint block slots.
-      std::vector<data::Value> local = local_store;
-      Frame local_frame{local};
+    tasks.push_back([this, &batch, &blocks, &seed, &opts, group] {
+      // run_all runs the last task on the calling thread, so tasks own
+      // their scratch; generators write disjoint block slots.
+      ExecScratch local;
+      local.store = seed.store;
+      local.source_bound = seed.source_bound;
       ExecOptions local_opts = opts;
       local_opts.profiler = nullptr;  // profiler is not thread-safe
       local_opts.drivers = nullptr;
-      local_opts.scratch = nullptr;   // per-worker state, not shareable
       for (std::size_t f : group) {
-        blocks[f] = compute_block_plain(batch, f, local_frame, local_opts);
+        blocks[f] = compute_block_plain(batch, f, local, local_opts);
       }
     });
   }
   opts.pool->run_all(std::move(tasks));
 
   for (std::size_t f : serial_fgs) {
-    blocks[f] = compute_block_plain(batch, f, frame, opts);
+    blocks[f] = compute_block_plain(batch, f, seed, opts);
   }
   return blocks;
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy planned assembly
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Fused k-way dense concat: copy every selected block's rows into its
-/// column slice of one preallocated matrix, row-chunk-major so the
-/// destination chunk stays cache-resident across the k sources. One copy
-/// per element vs the pairwise hconcat fold's O(k) copies. `out` is rebuilt
-/// in place (capacity reuse on persistent destinations).
-void fused_dense_concat(const std::vector<const data::FeatureMatrix*>& blocks,
-                        std::size_t rows, std::size_t total_cols,
-                        std::size_t block_rows, data::DenseMatrix& out) {
-  out.reshape(rows, total_cols);
-  double* dst = out.mutable_data().data();
-  for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
-    const std::size_t r1 = std::min(rows, r0 + block_rows);
-    std::size_t col_off = 0;
-    for (const auto* b : blocks) {
-      const auto& d = b->dense();
-      const std::size_t w = d.cols();
-      for (std::size_t r = r0; r < r1; ++r) {
-        auto src = d.row(r);
-        std::copy(src.begin(), src.end(), dst + r * total_cols + col_off);
-      }
-      col_off += w;
-    }
-  }
-}
-
-/// Fused k-way sparse concat: stream every block's row entries (with column
-/// offsets; dense blocks drop zeros, exactly as FeatureMatrix::to_csr does
-/// inside the pairwise fold) into one output CSR — a single pass instead of
-/// k-1 intermediate matrices. `out` is rebuilt in place.
-void fused_sparse_concat(const std::vector<const data::FeatureMatrix*>& blocks,
-                         std::size_t rows, std::size_t total_cols,
-                         data::CsrMatrix& out) {
-  std::size_t nnz_guess = 0;
-  for (const auto* b : blocks) {
-    nnz_guess += b->is_sparse() ? b->sparse().nnz() : b->rows();
-  }
-  out.reset(static_cast<std::int32_t>(total_cols));
-  out.reserve(rows, nnz_guess);
-  std::vector<data::SparseEntry> row;
-  for (std::size_t r = 0; r < rows; ++r) {
-    row.clear();
-    std::int32_t col_off = 0;
-    for (const auto* b : blocks) {
-      if (b->is_sparse()) {
-        const auto rv = b->sparse().row(r);
-        for (std::size_t k = 0; k < rv.nnz(); ++k) {
-          row.push_back({rv.indices[k] + col_off, rv.values[k]});
-        }
-        col_off += b->sparse().cols();
-      } else {
-        const auto rv = b->dense().row(r);
-        for (std::size_t c = 0; c < rv.size(); ++c) {
-          if (rv[c] != 0.0) {
-            row.push_back({col_off + static_cast<std::int32_t>(c), rv[c]});
-          }
-        }
-        col_off += static_cast<std::int32_t>(rv.size());
-      }
-    }
-    out.append_row(row);
-  }
-}
-
-}  // namespace
-
-bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
-                                        const ExecOptions& opts,
-                                        data::FeatureMatrix& result) const {
-  const std::size_t num_fg = analysis_.generators.size();
-  const std::size_t rows = batch.num_rows();
-  // Planning needs the probed layout and exclusive use of the sequential
-  // step machinery; every other mode falls back to the reference path
-  // (which produces the identical matrix).
-  if (!opcfg_.zero_copy || rows == 0 || opts.cache != nullptr ||
-      opts.pool != nullptr || opts.profiler != nullptr ||
-      opts.drivers != nullptr || analysis_.block_cols.size() != num_fg) {
-    return false;
-  }
-
-  ExecScratch* sc = opts.scratch;
-  std::vector<std::size_t> selected_local;
-  std::vector<std::size_t>& selected =
-      sc != nullptr ? sc->selected : selected_local;
-  selected.clear();
-  bool full = true;
-  for (std::size_t f = 0; f < num_fg; ++f) {
-    if (fg_selected(opts.fg_mask, f)) {
-      selected.push_back(f);
-    } else {
-      full = false;
-    }
-  }
-  if (selected.empty()) return false;
-
-  // Classify each selected generator by its terminal op's block interface.
-  // The terminal step must be the generator's (unfused) output node.
-  bool all_dense_writers = true;
-  bool all_sparse_emitters = true;
-  for (std::size_t f : selected) {
-    const auto& steps = plan_.fg_steps[f];
-    const auto& fg = analysis_.generators[f];
-    if (steps.empty() || steps.back().fused() ||
-        steps.back().nodes.back() != fg.output_node) {
-      return false;
-    }
-    const ops::Operator* op = graph_.node(fg.output_node).op.get();
-    if (dynamic_cast<const ops::DenseBlockWriter*>(op) == nullptr) {
-      all_dense_writers = false;
-    }
-    if (dynamic_cast<const ops::SparseBlockEmitter*>(op) == nullptr) {
-      all_sparse_emitters = false;
-    }
-  }
-
-  std::vector<data::Value> local_store;
-  if (sc != nullptr) {
-    sc->begin(graph_.size());
-  } else {
-    local_store.resize(graph_.size());
-  }
-  Frame frame = sc != nullptr
-                    ? Frame{sc->store, &sc->source_bound, &sc->arena,
-                            &sc->gather_tmp}
-                    : Frame{local_store};
-  const ops::BlockExecContext ctx{opcfg_, frame.arena};
-  std::vector<data::Value> gather_local;
-  std::vector<data::Value>& gtmp =
-      frame.gather_tmp != nullptr ? *frame.gather_tmp : gather_local;
-  run_steps(plan_.preprocessing, batch, frame, opts);
-
-  if (all_dense_writers) {
-    // Dense plan: one matrix for the downstream model's whole input (reused
-    // in place on persistent destinations); every generator writes its
-    // column slice. No per-op DenseMatrix, no hconcat.
-    std::size_t total_cols = 0;
-    for (std::size_t f : selected) total_cols += analysis_.block_cols[f];
-    auto& out = result.ensure_dense();
-    out.reshape(rows, total_cols);
-    double* base = out.mutable_data().data();
-    std::size_t col_off = 0;
-    for (std::size_t f : selected) {
-      const auto& fg = analysis_.generators[f];
-      const auto& steps = plan_.fg_steps[f];
-      run_steps(std::span<const PlanStep>(steps.data(), steps.size() - 1), batch,
-                frame, opts);
-      const Node& node = graph_.node(fg.output_node);
-      const auto inputs = gather_inputs(node, batch, frame, gtmp);
-      const auto* writer =
-          dynamic_cast<const ops::DenseBlockWriter*>(node.op.get());
-      writer->write_block(inputs, ctx, base + col_off, rows, total_cols);
-      col_off += analysis_.block_cols[f];
-    }
-    result = apply_post_chain(std::move(result), opts.fg_mask, full);
-    return true;
-  }
-
-  if (all_sparse_emitters && selected.size() == 1) {
-    // Single sparse generator: the emitted CSR IS the model input, rebuilt
-    // in place on persistent destinations.
-    const std::size_t f = selected[0];
-    const auto& fg = analysis_.generators[f];
-    const auto& steps = plan_.fg_steps[f];
-    run_steps(std::span<const PlanStep>(steps.data(), steps.size() - 1), batch,
-                frame, opts);
-    const Node& node = graph_.node(fg.output_node);
-    const auto inputs = gather_inputs(node, batch, frame, gtmp);
-    const auto* emitter =
-        dynamic_cast<const ops::SparseBlockEmitter*>(node.op.get());
-    emitter->emit_into(inputs, ctx, result.ensure_sparse());
-    result = apply_post_chain(std::move(result), opts.fg_mask, full);
-    return true;
-  }
-
-  // Mixed plan: compute the selected blocks (sparse producers still run
-  // their tuned batch kernels via run_steps), then assemble with a fused
-  // one-pass k-way concat instead of the pairwise fold.
-  std::vector<data::FeatureMatrix> computed(num_fg);
-  std::vector<const data::FeatureMatrix*> parts;
-  bool any_sparse = false;
-  std::size_t total_cols = 0;
-  for (std::size_t f : selected) {
-    computed[f] = compute_block_plain(batch, f, frame, opts);
-    const auto& b = computed[f];
-    if (b.rows() == 0 && b.cols() == 0) continue;  // identity, as hconcat
-    parts.push_back(&b);
-    any_sparse = any_sparse || b.is_sparse();
-    total_cols += b.cols();
-  }
-  if (parts.empty()) {
-    result = data::FeatureMatrix();
-  } else if (any_sparse) {
-    fused_sparse_concat(parts, rows, total_cols, result.ensure_sparse());
-  } else {
-    fused_dense_concat(parts, rows, total_cols, opcfg_.block_rows,
-                       result.ensure_dense());
-  }
-  result = apply_post_chain(std::move(result), opts.fg_mask, full);
-  return true;
-}
-
-data::FeatureMatrix CompiledExecutor::compute_matrix(
-    const data::Batch& batch, const ExecOptions& opts) const {
-  data::FeatureMatrix result;
-  if (plan_matrix_into(batch, opts, result)) return result;
-  return Executor::compute_matrix(batch, opts);
 }
 
 const data::FeatureMatrix& CompiledExecutor::compute_matrix_into(
     const data::Batch& batch, ExecScratch& scratch,
     const ExecOptions& opts) const {
-  ExecOptions o = opts;
-  o.scratch = &scratch;
-  if (plan_matrix_into(batch, o, scratch.result)) return scratch.result;
-  scratch.result = Executor::compute_matrix(batch, o);
-  return scratch.result;
+  const std::size_t num_fg = analysis_.generators.size();
+  data::FeatureMatrix& result = scratch.result;
+
+  // Classify each selected generator by its terminal op's block interface.
+  // The terminal step must be the generator's (unfused) output node, and
+  // the dense plan needs the probed layout for its column offsets.
+  auto& selected = scratch.selected;
+  selected.clear();
+  bool all_dense_writers = analysis_.block_cols.size() == num_fg;
+  bool all_sparse_emitters = true;
+  for (std::size_t f = 0; f < num_fg; ++f) {
+    if (!fg_selected(opts.fg_mask, f)) continue;
+    selected.push_back(f);
+    const auto& steps = plan_.fg_steps[f];
+    const int out = analysis_.generators[f].output_node;
+    const ops::Operator* op =
+        steps.empty() || steps.back().fused() || steps.back().nodes.back() != out
+            ? nullptr
+            : graph_.node(out).op.get();
+    all_dense_writers =
+        all_dense_writers && dynamic_cast<const ops::DenseBlockWriter*>(op) != nullptr;
+    all_sparse_emitters =
+        all_sparse_emitters &&
+        dynamic_cast<const ops::SparseBlockEmitter*>(op) != nullptr;
+  }
+  const bool single_sparse = all_sparse_emitters && selected.size() == 1;
+  if (opts.cache != nullptr || opts.pool != nullptr || selected.empty() ||
+      !(all_dense_writers || single_sparse)) {
+    // Cached and pooled generators produce independent blocks, as do
+    // terminals that cannot write into a shared destination.
+    assemble_into(compute_blocks(batch, opts, scratch), opts.fg_mask, result);
+    return result;
+  }
+
+  scratch.begin(graph_.size());
+  run_steps(plan_.preprocessing, batch, scratch, opts);
+  const ops::BlockExecContext ctx{opcfg_, &scratch.arena};
+  const std::size_t rows = batch.num_rows();
+  // Run generator `f` up to its terminal op, hand the terminal's operands
+  // to `write`, and record the terminal like any other step.
+  const auto run_generator = [&](std::size_t f, const auto& write) {
+    const auto& steps = plan_.fg_steps[f];
+    run_steps({steps.data(), steps.size() - 1}, batch, scratch, opts);
+    const int out = analysis_.generators[f].output_node;
+    const Node& node = graph_.node(out);
+    StepClock clock(opts);
+    const auto inputs = gather_inputs(node, batch, scratch);
+    const double driver_s = clock.lap();
+    write(*node.op, inputs);
+    record_step(out, driver_s, clock.lap(), opts);
+  };
+
+  if (all_dense_writers) {
+    // Dense plan: one matrix for the downstream model's whole input; every
+    // generator writes its column slice. No per-op DenseMatrix, no concat.
+    std::size_t total_cols = 0;
+    for (std::size_t f : selected) total_cols += analysis_.block_cols[f];
+    auto& dense = result.ensure_dense();
+    dense.reshape(rows, total_cols);
+    double* base = dense.mutable_data().data();
+    std::size_t col_off = 0;
+    for (std::size_t f : selected) {
+      run_generator(f, [&](const ops::Operator& op,
+                           std::span<const data::Value> inputs) {
+        dynamic_cast<const ops::DenseBlockWriter&>(op).write_block(
+            inputs, ctx, base + col_off, rows, total_cols);
+      });
+      col_off += analysis_.block_cols[f];
+    }
+  } else {
+    // Single sparse generator: the emitted CSR is the model input.
+    run_generator(selected[0], [&](const ops::Operator& op,
+                                   std::span<const data::Value> inputs) {
+      dynamic_cast<const ops::SparseBlockEmitter&>(op).emit_into(
+          inputs, ctx, result.ensure_sparse());
+    });
+  }
+  result = apply_post_chain(std::move(result), opts.fg_mask,
+                            selected.size() == num_fg);
+  return result;
 }
 
 }  // namespace willump::core

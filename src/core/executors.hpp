@@ -14,20 +14,19 @@
 
 namespace willump::core {
 
-/// Reusable per-worker execution state. One instance per worker thread; the
-/// executor rewinds it at every compute entry so the steady-state request
-/// path performs (almost) zero heap allocations:
+/// Reusable execution state, threaded through every compiled compute entry.
+/// The executor rewinds it at each entry, so a scratch kept across requests
+/// (one per worker thread, see request_scratch()) makes the steady-state
+/// request path perform (almost) zero heap allocations:
 ///  - `arena`: bump allocator for trivially-destructible op staging
 ///    (densify buffers, hash staging) — reset per entry, chunks retained;
-///  - `store` + `source_bound`: the persistent node store. Values keep their
-///    heap capacity across requests; `source_bound` (cleared per entry)
-///    replaces the fresh-store `empty()` check as the source-bind indicator,
-///    so a stale column from the previous batch is never mistaken for a
-///    bound one;
+///  - `store` + `source_bound`: the node store. Values keep their heap
+///    capacity across requests; `source_bound` (cleared per entry) marks the
+///    sources bound in this entry, so a stale column from the previous batch
+///    is never mistaken for a bound one;
 ///  - `result`: destination matrix of compute_matrix_into, reused in place.
 ///
-/// Not thread-safe. Never share one scratch between concurrent calls; the
-/// serving layer keys them thread_local (see request_scratch()).
+/// Not thread-safe. Never share one scratch between concurrent calls.
 struct ExecScratch {
   explicit ExecScratch(std::size_t arena_chunk_bytes = 1u << 18)
       : arena(arena_chunk_bytes) {}
@@ -51,15 +50,9 @@ struct ExecScratch {
   }
 };
 
-/// The calling thread's request scratch, or nullptr when arena-path reuse is
-/// disabled (WILLUMP_ARENA=0 or set_request_scratch_enabled(false)). The
-/// serving engine's worker threads each get their own instance lazily; the
-/// first-chunk size is WILLUMP_ARENA_CHUNK_KB (default 256).
-ExecScratch* request_scratch();
-
-/// Process-wide override of the WILLUMP_ARENA gate (benchmarks toggle the
-/// arena path to measure both sides in one process).
-void set_request_scratch_enabled(bool enabled);
+/// The calling thread's request scratch: one lazily built thread_local
+/// instance per thread, so serving workers reuse their state across requests.
+ExecScratch& request_scratch();
 
 /// Marshaling/kernel time split of a compiled execution — the analog of the
 /// paper's Weld-driver overhead measurement (§6.4, "Weld Drivers").
@@ -88,10 +81,6 @@ struct ExecOptions {
   runtime::Profiler* profiler = nullptr;
   /// Driver/kernel split accounting; nullptr disables.
   DriverStats* drivers = nullptr;
-  /// Per-worker reusable execution state; nullptr = allocate per call. Only
-  /// the serial uncached path uses it (pooled tasks and cached sub-batches
-  /// always build private stores); passing one is always safe.
-  ExecScratch* scratch = nullptr;
 };
 
 /// Common machinery of both execution engines: graph + IFV analysis
@@ -106,26 +95,23 @@ class Executor {
   virtual std::vector<data::FeatureMatrix> compute_blocks(
       const data::Batch& batch, const ExecOptions& opts) const = 0;
 
-  /// Concatenate selected blocks in canonical order and apply the
-  /// post-concatenation commutative chain. With a partial mask, post-chain
-  /// ops must be ColumnSliceable (paper: transforms that "commute with
-  /// vector concatenation", §5.1).
+  /// Concatenate selected blocks in canonical order in one pass (each
+  /// element copied once) and apply the post-concatenation commutative
+  /// chain. With a partial mask, post-chain ops must be ColumnSliceable
+  /// (paper: transforms that "commute with vector concatenation", §5.1).
   data::FeatureMatrix assemble(const std::vector<data::FeatureMatrix>& blocks,
                                const std::vector<bool>& mask) const;
 
-  /// compute_blocks + assemble in one call. Virtual so engines can plan the
-  /// final matrix directly (the compiled engine's zero-copy block path).
-  virtual data::FeatureMatrix compute_matrix(const data::Batch& batch,
-                                             const ExecOptions& opts = {}) const;
-
-  /// Allocation-reusing variant: computes the same matrix as compute_matrix
-  /// but into `scratch.result` (valid until the next call with the same
-  /// scratch) and threads `scratch` through the engine so node values and
-  /// op staging reuse the previous request's capacity. Base implementation
-  /// moves compute_matrix's result into the slot.
+  /// The feature matrix of `batch`, built into `scratch.result` (valid until
+  /// the next call with the same scratch). Node values, op staging and the
+  /// result keep the previous request's capacity.
   virtual const data::FeatureMatrix& compute_matrix_into(
       const data::Batch& batch, ExecScratch& scratch,
-      const ExecOptions& opts = {}) const;
+      const ExecOptions& opts = {}) const = 0;
+
+  /// compute_matrix_into over a call-local scratch.
+  data::FeatureMatrix compute_matrix(const data::Batch& batch,
+                                     const ExecOptions& opts = {}) const;
 
   /// Execute once on `probe` to record each generator's block width in the
   /// analysis (cascades need the column layout before training models).
@@ -148,6 +134,16 @@ class Executor {
  protected:
   bool fg_selected(const std::vector<bool>& mask, std::size_t f) const {
     return mask.empty() || (f < mask.size() && mask[f]);
+  }
+
+  /// assemble into `out`, reusing its storage.
+  void assemble_into(const std::vector<data::FeatureMatrix>& blocks,
+                     const std::vector<bool>& mask,
+                     data::FeatureMatrix& out) const;
+
+  /// Row-chunk size of the dense concat in assemble.
+  virtual std::size_t assemble_block_rows() const {
+    return kernels::FeatureOpConfig{}.block_rows;
   }
 
   /// Run the post-concatenation commutative chain over an assembled matrix
@@ -173,6 +169,10 @@ class InterpretedExecutor final : public Executor {
 
   std::vector<data::FeatureMatrix> compute_blocks(
       const data::Batch& batch, const ExecOptions& opts) const override;
+
+  const data::FeatureMatrix& compute_matrix_into(
+      const data::Batch& batch, ExecScratch& scratch,
+      const ExecOptions& opts = {}) const override;
 };
 
 /// One step of a compiled plan: either a single node or a fused chain of
@@ -212,21 +212,11 @@ class CompiledExecutor final : public Executor {
   std::vector<data::FeatureMatrix> compute_blocks(
       const data::Batch& batch, const ExecOptions& opts) const override;
 
-  /// Zero-copy planned assembly: when the layout is known and every
-  /// selected generator ends in a block-kernel op, the final feature matrix
-  /// is allocated once and ops write their column slices (dense) or stream
-  /// their CSR rows (sparse) straight into it — no per-op block, no
-  /// pairwise hconcat copies. Falls back to the reference
-  /// compute_blocks+assemble path whenever planning does not apply
-  /// (caching, pooling, profiling, unknown layout, zero_copy disabled);
-  /// both paths produce bit-identical matrices.
-  data::FeatureMatrix compute_matrix(const data::Batch& batch,
-                                     const ExecOptions& opts = {}) const override;
-
-  /// Zero-copy planning into a persistent destination: the planned matrix is
-  /// rebuilt inside `scratch.result` (ensure_dense/ensure_sparse keep the
-  /// previous request's heap capacity) and the whole entry runs against the
-  /// scratch's node store and arena.
+  /// When the layout is probed and every selected generator ends in a
+  /// DenseBlockWriter, the ops write their column slices straight into
+  /// `scratch.result`; a single selected SparseBlockEmitter streams its CSR
+  /// rows into it. Every other shape, and cached or pooled execution, is
+  /// compute_blocks + assemble. All produce bit-identical matrices.
   const data::FeatureMatrix& compute_matrix_into(
       const data::Batch& batch, ExecScratch& scratch,
       const ExecOptions& opts = {}) const override;
@@ -234,26 +224,27 @@ class CompiledExecutor final : public Executor {
   const CompiledPlan& plan() const { return plan_; }
 
   /// Tuned feature-op choices (lookup strategy, assembly row-block size,
-  /// zero-copy planning). Set by the op-level autotuner and by artifact
+  /// one-hot shape). Set by the op-level autotuner and by artifact
   /// deserialization; defaults are the untuned reference choices.
   void set_featureop_config(const kernels::FeatureOpConfig& c) { opcfg_ = c; }
   const kernels::FeatureOpConfig& featureop_config() const { return opcfg_; }
 
- private:
-  /// One compute entry's mutable state: the node store plus the optional
-  /// scratch extensions. `source_bound`/`arena`/`gather_tmp` are null on the
-  /// fresh-store paths (pooled tasks, cached sub-batches), where the
-  /// original `empty()` source-bind check and per-step temporaries apply.
-  struct Frame {
-    std::vector<data::Value>& store;
-    std::vector<std::uint8_t>* source_bound = nullptr;
-    common::Arena* arena = nullptr;
-    std::vector<data::Value>* gather_tmp = nullptr;
-  };
+ protected:
+  std::size_t assemble_block_rows() const override { return opcfg_.block_rows; }
 
-  /// Evaluate a step list over `batch` into the frame's store.
+ private:
+  /// compute_blocks with the serial path's node store in `scratch`.
+  std::vector<data::FeatureMatrix> compute_blocks(const data::Batch& batch,
+                                                  const ExecOptions& opts,
+                                                  ExecScratch& scratch) const;
+
+  /// Evaluate a step list over `batch` into the scratch's node store.
   void run_steps(std::span<const PlanStep> steps, const data::Batch& batch,
-                 Frame& frame, const ExecOptions& opts) const;
+                 ExecScratch& scratch, const ExecOptions& opts) const;
+
+  /// Account one step's driver/kernel time to the profiler and DriverStats.
+  static void record_step(int node, double driver_s, double kernel_s,
+                          const ExecOptions& opts);
 
   /// Compute one generator's block with per-row feature caching.
   data::FeatureMatrix compute_block_cached(const data::Batch& batch,
@@ -263,23 +254,16 @@ class CompiledExecutor final : public Executor {
   /// Plain (uncached) computation of one generator's block given computed
   /// preprocessing values.
   data::FeatureMatrix compute_block_plain(const data::Batch& batch,
-                                          std::size_t f, Frame& frame,
+                                          std::size_t f, ExecScratch& scratch,
                                           const ExecOptions& opts) const;
 
   /// Bind source columns and gather a node's operand values from the store
-  /// (the run_steps driver stage, reused by the zero-copy planner). The
-  /// returned span views store slots directly for single-input nodes (no
-  /// Value copies); multi-input nodes stage copies in `tmp`.
+  /// (the run_steps driver stage). The returned span views store slots
+  /// directly for single-input nodes (no Value copies); multi-input nodes
+  /// stage copies in `scratch.gather_tmp`.
   std::span<const data::Value> gather_inputs(const Node& node,
                                              const data::Batch& batch,
-                                             Frame& frame,
-                                             std::vector<data::Value>& tmp) const;
-
-  /// Attempt the zero-copy planned assembly into `result`; returns false
-  /// when planning preconditions fail and the caller must fall back to the
-  /// reference compute_blocks+assemble path.
-  bool plan_matrix_into(const data::Batch& batch, const ExecOptions& opts,
-                        data::FeatureMatrix& result) const;
+                                             ExecScratch& scratch) const;
 
   CompiledPlan plan_;
   kernels::FeatureOpConfig opcfg_;

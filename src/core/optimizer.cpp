@@ -50,12 +50,7 @@ std::vector<double> OptimizedPipeline::predict(const data::Batch& batch) const {
 
 void OptimizedPipeline::predict_into(const data::Batch& batch,
                                      std::span<double> out) const {
-  ExecOptions opts = exec_options();
-  // Per-worker reusable execution state (thread_local): node store, op
-  // staging arena and result matrix keep their capacity across requests, so
-  // the steady-state serving path stops allocating. Disabled via
-  // WILLUMP_ARENA=0; predictions are bit-identical either way.
-  opts.scratch = request_scratch();
+  const ExecOptions opts = exec_options();
   if (cascades_enabled()) {
     // Accumulate run counters locally, then merge atomically: concurrent
     // serving workers share one pipeline, and plain increments on the
@@ -70,12 +65,10 @@ void OptimizedPipeline::predict_into(const data::Batch& batch,
         .fetch_add(local.short_circuited, std::memory_order_relaxed);
     return;
   }
-  if (opts.scratch != nullptr) {
-    cascade_.full_model->predict_into(
-        executor_->compute_matrix_into(batch, *opts.scratch, opts), out);
-    return;
-  }
-  cascade_.full_model->predict_into(executor_->compute_matrix(batch, opts), out);
+  // The worker's request scratch keeps the node store, op staging arena and
+  // result matrix across requests, so the steady-state path stops allocating.
+  cascade_.full_model->predict_into(
+      executor_->compute_matrix_into(batch, request_scratch(), opts), out);
 }
 
 double OptimizedPipeline::predict_one(const data::Batch& row) const {

@@ -48,7 +48,7 @@ struct OptimizeOptions {
   /// baselines and ablations). Takes precedence over autotune_kernels.
   std::optional<kernels::KernelConfig> kernel_config;
   /// Force the compiled executor's feature-op config (lookup strategy,
-  /// zero-copy assembly, row-chunk size) instead of tuning it — the
+  /// one-hot shape, row-chunk size) instead of tuning it — the
   /// feature-pipeline analog of kernel_config, used for ablations. Takes
   /// precedence over op-level autotuning; ignored by the interpreted engine.
   std::optional<kernels::FeatureOpConfig> featureop_config;

@@ -36,8 +36,9 @@ DenseMatrix DenseMatrix::select_rows(std::span<const std::size_t> idx) const {
 }
 
 DenseMatrix DenseMatrix::hconcat(const DenseMatrix& a, const DenseMatrix& b) {
-  if (a.rows() == 0) return b;
-  if (b.rows() == 0) return a;
+  // Only a 0x0 operand is the identity: a zero-row block keeps its width.
+  if (a.rows() == 0 && a.cols() == 0) return b;
+  if (b.rows() == 0 && b.cols() == 0) return a;
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("DenseMatrix::hconcat: row count mismatch");
   }
@@ -94,8 +95,9 @@ CsrMatrix CsrMatrix::select_rows(std::span<const std::size_t> idx) const {
 }
 
 CsrMatrix CsrMatrix::hconcat(const CsrMatrix& a, const CsrMatrix& b) {
-  if (a.rows() == 0) return b;
-  if (b.rows() == 0) return a;
+  // Only a 0x0 operand is the identity: a zero-row block keeps its width.
+  if (a.rows() == 0 && a.cols() == 0) return b;
+  if (b.rows() == 0 && b.cols() == 0) return a;
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("CsrMatrix::hconcat: row count mismatch");
   }

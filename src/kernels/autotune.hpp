@@ -21,9 +21,9 @@ struct AutotuneConfig {
   int reps = 5;                  // timed repetitions per candidate (median)
   std::size_t sample_rows = 256; // rows of the training set to time against
   std::vector<std::uint32_t> tree_blocks = {8, 16, 32, 64};
-  /// Row-chunk sizes to try for zero-copy dense block assembly.
+  /// Row-chunk sizes to try for the executor's dense block assembly.
   std::vector<std::uint32_t> block_rows = {64, 256, 1024};
-  /// Also tune op-level choices (lookup strategy, zero-copy assembly) on a
+  /// Also tune op-level choices (lookup strategy, row-chunk size) on a
   /// compiled executor. The optimizer turns this off when the caller forced
   /// a FeatureOpConfig.
   bool tune_feature_ops = true;

@@ -81,7 +81,10 @@ enum class OneHotVariant : std::uint8_t {
 struct FeatureOpConfig {
   LookupVariant lookup = LookupVariant::HashMap;
   std::uint32_t block_rows = 256;  // rows per feature block, [1, 2^20]
-  bool zero_copy = true;           // plan contiguous output blocks in the executor
+  /// Read by nothing outside save/load_featureop_config: kept only because
+  /// the WLMP KERN section carries its byte (loads still reject values > 1)
+  /// and tools print it.
+  bool zero_copy = true;
   OneHotVariant onehot = OneHotVariant::Scalar;
 
   bool operator==(const FeatureOpConfig&) const = default;

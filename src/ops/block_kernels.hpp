@@ -38,27 +38,21 @@ class DenseBlockWriter {
 
 /// Mixin for ops that produce sparse blocks: emit the whole batch as CSR in
 /// one pass using the tuned lookup strategy and per-worker scratch. The
-/// executor moves the result out (single-generator plans) or streams it
-/// through the fused k-way concat. Rows must be bit-identical to
-/// eval_batch's sparse output.
+/// executor emits straight into the result (single-generator plans) or into
+/// the op's node slot, whose block the one-pass concat then streams. Rows
+/// must be bit-identical to eval_batch's sparse output.
 class SparseBlockEmitter {
  public:
   virtual ~SparseBlockEmitter() = default;
-
-  virtual data::CsrMatrix emit_batch(std::span<const data::Value> inputs,
-                                     const BlockExecContext& ctx) const = 0;
 
   /// Emit into a caller-owned CSR whose backing arrays persist across
   /// batches: the op reset()s `out` to its own column count (keeping the
   /// arrays' capacity) and appends this batch's rows, so the steady-state
   /// request path reuses capacity instead of allocating a fresh matrix per
-  /// batch. Default delegates to emit_batch; ops with reusable scratch
-  /// override.
+  /// batch.
   virtual void emit_into(std::span<const data::Value> inputs,
                          const BlockExecContext& ctx,
-                         data::CsrMatrix& out) const {
-    out = emit_batch(inputs, ctx);
-  }
+                         data::CsrMatrix& out) const = 0;
 };
 
 }  // namespace willump::ops

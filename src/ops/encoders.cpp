@@ -50,13 +50,6 @@ data::Value OneHotHashOp::eval_batch(std::span<const data::Value> inputs) const 
   return data::Value(data::FeatureMatrix(std::move(out)));
 }
 
-data::CsrMatrix OneHotHashOp::emit_batch(std::span<const data::Value> inputs,
-                                         const BlockExecContext& ctx) const {
-  data::CsrMatrix out(n_buckets_);
-  emit_into(inputs, ctx, out);
-  return out;
-}
-
 void OneHotHashOp::emit_into(std::span<const data::Value> inputs,
                              const BlockExecContext& ctx,
                              data::CsrMatrix& out) const {

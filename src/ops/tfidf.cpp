@@ -337,13 +337,6 @@ data::Value TfIdfOp::eval_batch(std::span<const data::Value> inputs) const {
       data::FeatureMatrix(model_->transform(inputs[0].column().strings())));
 }
 
-data::CsrMatrix TfIdfOp::emit_batch(std::span<const data::Value> inputs,
-                                    const BlockExecContext& ctx) const {
-  data::CsrMatrix out(model_->vocabulary_size());
-  emit_into(inputs, ctx, out);
-  return out;
-}
-
 void TfIdfOp::emit_into(std::span<const data::Value> inputs,
                         const BlockExecContext& ctx,
                         data::CsrMatrix& out) const {

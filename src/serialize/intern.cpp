@@ -1,7 +1,6 @@
 #include "serialize/intern.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -43,7 +42,7 @@ PoolState& state() {
   return s;
 }
 
-std::atomic<int> g_enabled{-1};  // -1 = read env on first use
+std::atomic<bool> g_enabled{true};
 
 }  // namespace
 
@@ -53,17 +52,11 @@ InternPool& InternPool::instance() {
 }
 
 bool InternPool::enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("WILLUMP_COW_INTERN");
-    v = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 void InternPool::set_enabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_enabled.store(on, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const void> InternPool::lookup_or_store(

@@ -17,8 +17,8 @@ namespace willump::serialize {
 /// Entries are weak: the pool keeps nothing alive. Content identity is the
 /// (kind, fnv1a-64, crc32, size) quadruple of the payload bytes — not a full
 /// byte compare — which is collision-safe far beyond fleet scale but is an
-/// assumption, so the pool can be disabled (WILLUMP_COW_INTERN=0) to fall
-/// back to private copies.
+/// assumption, so the pool can be disabled (set_enabled(false)) to fall back
+/// to private copies.
 class InternPool {
  public:
   static InternPool& instance();
@@ -44,7 +44,7 @@ class InternPool {
   Stats stats() const;
   void clear();  // drop all entries (stats too); mainly for benchmarks
 
-  /// Process-wide switch. Defaults from WILLUMP_COW_INTERN (unset/1 = on).
+  /// Process-wide switch, on by default.
   static bool enabled();
   static void set_enabled(bool on);
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
 #include "common/arena.hpp"
 #include "core/executors.hpp"
@@ -106,14 +107,15 @@ TEST(ExecScratch, BeginResetsBindingsAndArenaButKeepsCapacity) {
   EXPECT_EQ(s.source_bound.size(), 7u);
 }
 
-TEST(ExecScratch, RequestScratchGateTogglesProcessWide) {
-  core::set_request_scratch_enabled(false);
-  EXPECT_EQ(core::request_scratch(), nullptr);
-  core::set_request_scratch_enabled(true);
-  core::ExecScratch* sc = core::request_scratch();
-  ASSERT_NE(sc, nullptr);
-  // thread_local: the same thread sees the same instance.
-  EXPECT_EQ(core::request_scratch(), sc);
+TEST(ExecScratch, RequestScratchIsPerThread) {
+  // thread_local: the same thread sees the same instance, another thread
+  // its own.
+  core::ExecScratch* mine = &core::request_scratch();
+  EXPECT_EQ(&core::request_scratch(), mine);
+  core::ExecScratch* other = nullptr;
+  std::thread([&] { other = &core::request_scratch(); }).join();
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, mine);
 }
 
 }  // namespace

@@ -105,7 +105,6 @@ TEST(CowConcurrency, SharedStateSurvivesSwapUnderOpenLoopTraffic) {
 
 TEST(CowConcurrency, ArenaScratchNeverAliasesAcrossConcurrentPredicts) {
   auto& f = testing::shared_toxic_optimized();
-  core::set_request_scratch_enabled(true);
 
   // Per-thread disjoint row slices with a single-threaded reference; any
   // cross-thread scratch aliasing or stale-arena reuse shows up as a

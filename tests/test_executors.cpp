@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ops/concat.hpp"
+#include "ops/encoders.hpp"
 #include "ops/lookup.hpp"
 #include "ops/scale.hpp"
 #include "ops/string_ops.hpp"
@@ -205,6 +206,38 @@ TEST(Executors, ProfilerRecordsPerNodeCosts) {
   for (const auto& fg : ex.analysis().generators) {
     EXPECT_GT(prof.calls(fg.output_node), 0u);
   }
+}
+
+TEST(Executors, PlannedMatrixRecordsEveryGenerator) {
+  // Both generators end in a DenseBlockWriter, so compute_matrix writes
+  // their columns straight into the result; the terminal writes are still
+  // profiled and counted as driver/kernel steps.
+  Graph g;
+  const int a = g.add_source("a", data::ColumnType::Double);
+  const int k = g.add_source("k", data::ColumnType::Int);
+  const int n1 =
+      g.add_transform("num1", std::make_shared<ops::NumericColumnsOp>("num1"), {a});
+  const int n2 =
+      g.add_transform("num2", std::make_shared<ops::NumericColumnsOp>("num2"), {k});
+  g.set_output(
+      g.add_transform("concat", std::make_shared<ops::ConcatOp>(), {n1, n2}));
+  data::Batch batch;
+  batch.add("a", data::Column(data::DoubleColumn{1.5, -2.0, 0.25}));
+  batch.add("k", data::Column(data::IntColumn{3, 1, 4}));
+
+  CompiledExecutor ex(g, analyze_ifvs(g));
+  ex.probe_layout(batch);
+  runtime::Profiler prof;
+  DriverStats drivers;
+  ExecOptions opts;
+  opts.profiler = &prof;
+  opts.drivers = &drivers;
+  const auto m = ex.compute_matrix(batch, opts);
+  EXPECT_EQ(m.cols(), 2u);
+  for (const auto& fg : ex.analysis().generators) {
+    EXPECT_GT(prof.calls(fg.output_node), 0u);
+  }
+  EXPECT_GT(drivers.block_entries, 0u);
 }
 
 TEST(Executors, ParallelPointwiseMatchesSequential) {

@@ -6,10 +6,11 @@
 // assertions here are EXPECT_EQ on doubles, not tolerances —
 //  - blocked TF-IDF (transform_into, either vocabulary-lookup strategy)
 //    reproduces transform_one's arithmetic per document;
-//  - the compiled executor's zero-copy planned assembly (dense plan,
-//    single-sparse plan, mixed fused concat, any block_rows) produces the
-//    same matrix as the reference compute_blocks + pairwise-hconcat path,
-//    full and masked, including the post-concatenation chain;
+//  - every shape of the compiled executor's matrix path (dense plan,
+//    single-sparse plan, one-pass concat of mixed, cached or pooled blocks,
+//    any block_rows) and cascade_predict produce the same matrix as the
+//    test-local oracle — compute_blocks + pairwise hconcat_all + post-chain
+//    — full and masked;
 //  - sparse GBDT CSR traversal == densify-block traversal == dense input;
 //  - op-level configs round-trip exactly and corrupt bytes are rejected;
 //  - a saved artifact cold-starts with the executor's tuned/forced
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -24,8 +26,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/cascades.hpp"
 #include "core/cost_model.hpp"
 #include "core/executors.hpp"
+#include "core/feature_cache.hpp"
 #include "core/ifv_analysis.hpp"
 #include "core/optimizer.hpp"
 #include "data/matrix.hpp"
@@ -37,6 +41,7 @@
 #include "ops/scale.hpp"
 #include "ops/string_ops.hpp"
 #include "ops/tfidf.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serialize/artifact.hpp"
 #include "serialize/buffer.hpp"
 #include "serialize/error.hpp"
@@ -168,7 +173,7 @@ TEST(TfIdfBlocked, CopiedModelKeepsBothLookupStrategiesValid) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy planned assembly vs the reference blocks+hconcat path.
+// The executor's matrix path vs the blocks+hconcat_all oracle.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const ops::TfIdfModel> shared_tfidf(ops::Analyzer a,
@@ -249,25 +254,59 @@ data::Batch numeric_batch(std::size_t rows, std::uint64_t seed) {
   return b;
 }
 
-/// Compare the zero-copy planner against the forced-off reference on one
-/// executor, full and masked, across lookup variants and block_rows sizes.
+bool selected(const std::vector<bool>& mask, std::size_t f) {
+  return mask.empty() || (f < mask.size() && mask[f]);
+}
+
+/// The parity oracle: one block per generator (compute_blocks), folded by
+/// the pairwise FeatureMatrix::hconcat_all, then the post-concatenation
+/// chain — column-sliced under a partial mask. This is the executor's
+/// original reference assembly, kept here so every planned shape stays
+/// bit-exact with it.
+data::FeatureMatrix oracle_matrix(const core::Executor& ex,
+                                  const data::Batch& batch,
+                                  const std::vector<bool>& mask) {
+  core::ExecOptions opts;
+  opts.fg_mask = mask;
+  const auto blocks = ex.compute_blocks(batch, opts);
+  const auto& a = ex.analysis();
+  std::vector<data::FeatureMatrix> parts;
+  bool full = true;
+  for (std::size_t f = 0; f < a.num_generators(); ++f) {
+    if (selected(mask, f)) {
+      parts.push_back(blocks[f]);
+    } else {
+      full = false;
+    }
+  }
+  data::FeatureMatrix m = data::FeatureMatrix::hconcat_all(parts);
+  for (int post : a.post_chain) {
+    const auto& op = *ex.graph().node(post).op;
+    if (full) {
+      data::Value v[1] = {data::Value(std::move(m))};
+      m = op.eval_batch(v).features();
+    } else {
+      m = dynamic_cast<const ops::ColumnSliceable&>(op).apply_columns(
+          m, a.columns_of(mask));
+    }
+  }
+  return m;
+}
+
+/// Compare the executor's matrix against the oracle on one executor, full
+/// and masked, across lookup variants and block_rows sizes.
 void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
                                         const std::vector<bool>& mask) {
   core::CompiledExecutor ex(g, core::analyze_ifvs(g));
   ex.probe_layout(batch);
   core::ExecOptions opts;
   opts.fg_mask = mask;
-
-  FeatureOpConfig off;
-  off.zero_copy = false;
-  ex.set_featureop_config(off);
-  const data::FeatureMatrix ref = ex.compute_matrix(batch, opts);
+  const data::FeatureMatrix ref = oracle_matrix(ex, batch, mask);
 
   for (const auto lookup :
        {LookupVariant::HashMap, LookupVariant::SortedVocab}) {
     for (const std::uint32_t block_rows : {1u, 3u, 256u}) {
-      FeatureOpConfig on{lookup, block_rows, true};
-      ex.set_featureop_config(on);
+      ex.set_featureop_config(FeatureOpConfig{lookup, block_rows});
       expect_bit_equal(ex.compute_matrix(batch, opts), ref);
     }
   }
@@ -337,6 +376,111 @@ TEST(ZeroCopy, PostConcatChainStillApplies) {
 
   expect_zero_copy_matches_reference(g, batch, {});
   expect_zero_copy_matches_reference(g, batch, {true, false});
+}
+
+TEST(ZeroCopy, EmptyBatchMatchesOracle) {
+  // The layout is probed on real rows; a zero-row request must still match
+  // the oracle's widths, which come from the blocks, not the layout.
+  const std::pair<core::Graph, data::Batch> cases[] = {
+      {dense_graph(), numeric_batch(5, 131)},
+      {single_sparse_graph(), string_batch(5, 137)},
+      {mixed_graph(), string_batch(5, 139)},
+  };
+  for (const auto& [g, probe] : cases) {
+    core::CompiledExecutor ex(g, core::analyze_ifvs(g));
+    ex.probe_layout(probe);
+    const data::Batch empty = probe.select_rows(std::vector<std::size_t>{});
+    expect_bit_equal(ex.compute_matrix(empty), oracle_matrix(ex, empty, {}));
+  }
+}
+
+TEST(ZeroCopy, CachedGeneratorsMatchOracle) {
+  core::Graph g = mixed_graph();
+  core::CompiledExecutor ex(g, core::analyze_ifvs(g));
+  const data::Batch batch = string_batch(31, 149);
+  ex.probe_layout(batch);
+  const data::FeatureMatrix ref = oracle_matrix(ex, batch, {});
+  const data::FeatureMatrix ref_masked =
+      oracle_matrix(ex, batch, {false, true, true});
+
+  core::FeatureCacheBank cache(ex.analysis().num_generators(), 1024);
+  core::ExecOptions opts;
+  opts.cache = &cache;
+  // A prefix first, so the full batch mixes cache hits and misses; then
+  // the full batch again, all hits.
+  std::vector<std::size_t> prefix(12);
+  for (std::size_t i = 0; i < prefix.size(); ++i) prefix[i] = i;
+  (void)ex.compute_matrix(batch.select_rows(prefix), opts);
+  expect_bit_equal(ex.compute_matrix(batch, opts), ref);
+  expect_bit_equal(ex.compute_matrix(batch, opts), ref);
+  opts.fg_mask = {false, true, true};
+  expect_bit_equal(ex.compute_matrix(batch, opts), ref_masked);
+}
+
+TEST(ZeroCopy, PooledGeneratorsMatchOracle) {
+  runtime::ThreadPool pool(2);
+  core::ExecOptions opts;
+  opts.pool = &pool;
+  const std::pair<core::Graph, data::Batch> cases[] = {
+      {dense_graph(), numeric_batch(43, 151)},
+      {mixed_graph(), string_batch(43, 157)},
+  };
+  for (const auto& [g, batch] : cases) {
+    core::CompiledExecutor ex(g, core::analyze_ifvs(g));
+    ex.probe_layout(batch);
+    for (const std::vector<bool>& mask :
+         {std::vector<bool>{}, std::vector<bool>{true, false, true}}) {
+      opts.fg_mask = mask;
+      expect_bit_equal(ex.compute_matrix(batch, opts),
+                       oracle_matrix(ex, batch, mask));
+    }
+  }
+}
+
+TEST(ZeroCopy, CascadePredictMatchesOracleMatrices) {
+  core::Graph g = mixed_graph();
+  auto ex = std::make_shared<core::CompiledExecutor>(g, core::analyze_ifvs(g));
+  const data::Batch batch = string_batch(80, 163);
+  ex->probe_layout(batch);
+  std::vector<double> y(batch.num_rows());
+  const auto& docs = batch.get("title").strings();
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = docs[i].find("fox") != std::string::npos ? 1.0 : 0.0;
+  }
+
+  core::TrainedCascade cascade;
+  cascade.efficient_mask = {true, false, false};
+  cascade.inefficient_mask = {false, true, true};
+  const data::FeatureMatrix x_eff =
+      oracle_matrix(*ex, batch, cascade.efficient_mask);
+  const data::FeatureMatrix x_full = oracle_matrix(*ex, batch, {});
+  auto small = std::make_shared<models::LogisticRegression>();
+  small->fit(x_eff, y);
+  auto full = std::make_shared<models::LogisticRegression>();
+  full->fit(x_full, y);
+  cascade.small_model = small;
+  cascade.full_model = full;
+
+  // Threshold at the median small-model confidence, so both the
+  // short-circuit and the full-model branch serve rows.
+  const std::vector<double> small_preds = small->predict(x_eff);
+  const std::vector<double> full_preds = full->predict(x_full);
+  std::vector<double> conf(small_preds.size());
+  for (std::size_t i = 0; i < conf.size(); ++i) {
+    conf[i] = models::confidence(small_preds[i]);
+  }
+  std::vector<double> sorted = conf;
+  std::sort(sorted.begin(), sorted.end());
+  cascade.threshold = sorted[sorted.size() / 2];
+
+  std::vector<double> want(conf.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    want[i] = conf[i] > cascade.threshold ? small_preds[i] : full_preds[i];
+  }
+  core::CascadeRunStats stats;
+  EXPECT_EQ(core::cascade_predict(*ex, cascade, batch, {}, &stats), want);
+  EXPECT_GT(stats.short_circuited, 0u);
+  EXPECT_LT(stats.short_circuited, stats.total_rows);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,13 +579,13 @@ TEST(FeatureOpAutotune, InstallsWinnerAndRecordsCandidates) {
       core::tune_feature_ops(ex, batch, cfg, &timings);
   EXPECT_EQ(ex.featureop_config(), winner);
 
-  bool saw_lookup = false, saw_zero_copy = false;
+  bool saw_lookup = false, saw_block_rows = false;
   for (const auto& t : timings) {
     saw_lookup = saw_lookup || t.name.rfind("ops/lookup:", 0) == 0;
-    saw_zero_copy = saw_zero_copy || t.name.rfind("ops/zero_copy:", 0) == 0;
+    saw_block_rows = saw_block_rows || t.name.rfind("ops/block_rows:", 0) == 0;
   }
   EXPECT_TRUE(saw_lookup);  // the graph has TF-IDF, so lookup was timed
-  EXPECT_TRUE(saw_zero_copy);
+  EXPECT_TRUE(saw_block_rows);
 }
 
 core::LabeledData labeled_strings(std::size_t rows, std::uint64_t seed) {

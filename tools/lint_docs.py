@@ -10,6 +10,10 @@ Checks every tracked *.md file for:
    (`src/...`, `tests/...`, `bench/...`, `examples/...`, `tools/...`,
    `ci.sh`, `CMakeLists.txt`, `*.md`) must name files or directories that
    actually exist, so README/DESIGN/ROADMAP cannot drift from the tree.
+3. **Environment gates** — every `getenv("WILLUMP_...")` under `src/` has
+   a row in README's "Process-wide environment gates" table, and every row
+   of that table names a variable some file under `src/`, `tests/` or
+   `bench/` reads, so a deleted gate cannot linger in the docs.
 
 Exits non-zero listing every violation; CI (and the `docs` ctest entry)
 fails the build on breakage. Stdlib only — no pip dependencies.
@@ -106,11 +110,68 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+GATES_HEADING = "Process-wide environment gates"
+GATE_ROW_RE = re.compile(r"^\|\s*`(WILLUMP_\w+)`\s*\|")
+GETENV_RE = re.compile(r'getenv\(\s*"(WILLUMP_\w+)"\s*\)')
+SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
+
+
+def gate_rows() -> list[str]:
+    """Variables in the first column of README's environment-gate table."""
+    rows: list[str] = []
+    in_section = False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if GATES_HEADING in line:
+            in_section = True
+            continue
+        if not in_section:
+            continue
+        m = GATE_ROW_RE.match(line)
+        if m:
+            rows.append(m.group(1))
+        elif rows and not line.startswith("|"):
+            break  # the table ended
+    return rows
+
+
+def env_reads(dirs: tuple[str, ...]) -> dict[str, str]:
+    """WILLUMP_* variables read via getenv under `dirs`, each mapped to the
+    first file that reads it."""
+    reads: dict[str, str] = {}
+    for d in dirs:
+        for p in sorted((REPO / d).rglob("*")):
+            if p.suffix not in SOURCE_SUFFIXES or not p.is_file():
+                continue
+            for var in GETENV_RE.findall(p.read_text(encoding="utf-8")):
+                reads.setdefault(var, str(p.relative_to(REPO)))
+    return reads
+
+
+def check_env_gates() -> list[str]:
+    rows = gate_rows()
+    if not rows:
+        return [f"README.md: no '{GATES_HEADING}' table found"]
+    errors = [
+        f"{path}: getenv(\"{var}\") has no row in README's environment-gate table"
+        for var, path in sorted(env_reads(("src",)).items())
+        if var not in rows
+    ]
+    read_anywhere = env_reads(("src", "tests", "bench"))
+    errors.extend(
+        f"README.md: environment-gate row {var} is read by no file under "
+        "src/, tests/ or bench/"
+        for var in rows
+        if var not in read_anywhere
+    )
+    return errors
+
+
 def main() -> int:
     all_errors: list[str] = []
     files = md_files()
     for f in files:
         all_errors.extend(check_file(f))
+    all_errors.extend(check_env_gates())
     if all_errors:
         print(f"docs lint: {len(all_errors)} problem(s) in {len(files)} files")
         for e in all_errors:
