@@ -344,8 +344,10 @@ int main(int argc, char** argv) {
   // The isolation question behind per-model SLO classes: when a best-effort
   // model saturates the engine, does a latency-critical model sharing the
   // process still meet its deadline — without giving up aggregate
-  // throughput? Run the identical mixed open-loop load under the legacy
-  // FIFO/steal scheduler and under SLO-aware priority/EDF dequeue.
+  // throughput? Run the identical mixed open-loop load twice through the
+  // one priority/EDF scheduler: once with both models in one shared class
+  // (the FIFO baseline — equal keys reduce the dequeue to cross-queue
+  // arrival order) and once with their own classes.
   {
     // Calibrate the deadline to this machine: the non-preemptive bound is
     // one in-flight best-effort batch; grant ~30 batch-times of headroom.
@@ -370,18 +372,22 @@ int main(int argc, char** argv) {
     double fifo_agg_qps = 0.0, slo_agg_qps = 0.0;
     double critical_attainment = 0.0;
     std::size_t critical_completed = 0;
-    for (const bool slo_scheduling : {false, true}) {
+    const auto critical_class =
+        serving::SloClass::latency_critical(deadline_micros);
+    for (const bool slo_edf : {false, true}) {
       serving::ServerConfig cfg;
       cfg.num_workers = 2;
-      cfg.slo_scheduling = slo_scheduling;
       serving::Server server(cfg);
 
       serving::ModelConfig best_effort = aimd_policy();
-      best_effort.slo = serving::SloClass::best_effort();
+      best_effort.slo = slo_edf ? serving::SloClass::best_effort()
+                                : serving::SloClass::standard();
       best_effort.max_delay_micros = 200.0;
       serving::ModelConfig critical = aimd_policy();
-      critical.aimd.slo_micros = 0.0;  // derive the batch target from the class
-      critical.slo = serving::SloClass::latency_critical(deadline_micros);
+      // The critical class's batch target, pinned in both arms so only the
+      // dequeue order differs between them.
+      critical.aimd.slo_micros = critical_class.batch_slo_micros();
+      critical.slo = slo_edf ? critical_class : serving::SloClass::standard();
       critical.max_delay_micros = 200.0;
       server.register_model("music", &music_pipeline, best_effort);
       server.register_model("credit", &credit_pipeline, critical);
@@ -395,7 +401,7 @@ int main(int argc, char** argv) {
       const auto res =
           workloads::run_mixed_open_loop(server, mix, n_slo, slo_qps, kSeed);
 
-      const char* label = slo_scheduling ? "slo-edf" : "fifo";
+      const char* label = slo_edf ? "slo-edf" : "fifo";
       for (const auto& [name, r] : res.per_model) {
         slo_table.print_row(
             {label, name, fmt("%.0f", r.achieved_qps), us(r.latency.median),
@@ -403,7 +409,7 @@ int main(int argc, char** argv) {
              r.deadline_micros > 0.0 ? fmt("%.3f", r.attainment())
                                      : std::string("-")});
       }
-      if (slo_scheduling) {
+      if (slo_edf) {
         slo_agg_qps = res.aggregate.achieved_qps;
         critical_attainment = res.per_model[1].second.attainment();
         critical_completed = res.per_model[1].second.completed;
@@ -428,21 +434,26 @@ int main(int argc, char** argv) {
   // ---- Overload: admission control + typed shedding vs naive FIFO. -------
   //
   // Past saturation the question is no longer "who goes first" but "what
-  // happens to the excess". The baseline engine (legacy FIFO/steal
-  // scheduler, no load control, unbounded queues) accepts everything: the
-  // backlog grows for the whole run and the latency-critical class misses
-  // its deadline wholesale. The load-controlled engine (SLO-aware dequeue
-  // plus the admission -> shed -> expire pipeline over bounded queues)
-  // sheds the excess with typed rejections and keeps the critical class's
-  // attainment statistically at target — and no submit ever blocks: the
-  // old blocking push would park the open-loop dispatcher behind the
-  // saturated queue, which the max-submit watchdog asserts cannot happen.
+  // happens to the excess". The baseline engine (both models in one shared
+  // SLO class, so dequeue is cross-queue FIFO; no load control, unbounded
+  // queues) accepts everything: the backlog grows for the whole run and
+  // every critical request that arrives behind more than a deadline's
+  // worth of it misses. The load-controlled engine (per-model classes for
+  // SLO-aware dequeue, plus the admission -> shed -> expire pipeline over
+  // bounded queues) sheds the excess with typed rejections and keeps the
+  // critical class's attainment statistically at target — and no submit
+  // ever blocks: a blocking push would park the open-loop dispatcher
+  // behind the saturated queue, which the max-submit watchdog asserts
+  // cannot happen.
   {
-    common::Timer calib;
-    (void)music_pipeline.predict(music.test.inputs.select_rows(
+    // Median of several timings: one preempted call would inflate the
+    // deadline until even the FIFO backlog meets it.
+    const data::Batch batch16 = music.test.inputs.select_rows(
         std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                 13, 14, 15}));
-    const double batch16_seconds = std::max(1e-4, calib.elapsed_seconds());
+                                 13, 14, 15});
+    const double batch16_seconds = std::max(
+        1e-4, common::time_median_seconds(
+                  5, [&] { (void)music_pipeline.predict(batch16); }));
     // Tight enough that the FIFO backlog (the best-effort stream drains
     // for many tens of milliseconds ahead of the critical queue) blows it,
     // generous enough that priority dequeue + shedding (critical wait ~
@@ -466,20 +477,20 @@ int main(int argc, char** argv) {
     double worst_submit_seconds = 0.0;
     for (const bool shedding : {false, true}) {
       serving::ServerConfig cfg;
-      // One worker makes the schedule maximally contended: the legacy
-      // scheduler homes it on the first-registered (best-effort) model and
-      // only visits the critical queue when that queue is momentarily
-      // empty — which a 3x stream never allows. With two workers each
-      // model gets a home worker and even FIFO hides the overload.
+      // One worker makes the schedule maximally contended: in the FIFO arm
+      // every critical request waits behind the whole best-effort backlog
+      // that arrived before it, which a 3x stream grows for the whole run.
       cfg.num_workers = 1;
-      cfg.slo_scheduling = shedding;  // baseline arm: legacy FIFO/steal
       serving::Server server(cfg);
 
       serving::ModelConfig best_effort = fixed_policy(16);
-      best_effort.slo = serving::SloClass::best_effort();
+      best_effort.slo = shedding ? serving::SloClass::best_effort()
+                                 : serving::SloClass::standard();
       best_effort.max_delay_micros = 200.0;
       serving::ModelConfig critical = fixed_policy(16);
-      critical.slo = serving::SloClass::latency_critical(over_deadline_micros);
+      critical.slo =
+          shedding ? serving::SloClass::latency_critical(over_deadline_micros)
+                   : serving::SloClass::standard();
       critical.max_delay_micros = 200.0;
       if (shedding) {
         best_effort.queue_capacity = 32;  // ~2 batches of backlog, then shed

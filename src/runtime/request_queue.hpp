@@ -29,16 +29,15 @@ enum class PushResult { kPushed, kFull, kClosed };
 ///
 /// This is the admission-control point of the serving engine: client
 /// threads push pointwise requests, worker threads drain them into
-/// micro-batches. A bounded capacity turns overload into either producer
-/// back-pressure (blocking push()) or — what the serving engine's submit
-/// paths use — a bounded-wait try_push_for() whose kFull outcome becomes a
-/// typed load-shedding rejection, instead of unbounded memory growth (the
-/// standard serving-frontend design; Clipper, NSDI 2017, batches its
-/// request queues the same way).
+/// micro-batches. A bounded capacity turns overload into a bounded-wait
+/// try_push_for() whose kFull outcome becomes a typed load-shedding
+/// rejection, instead of unbounded memory growth or a producer parked
+/// behind a saturated model (the standard serving-frontend design;
+/// Clipper, NSDI 2017, batches its request queues the same way).
 ///
-/// close() initiates shutdown: pending and subsequent pushes return false,
-/// while pops continue to drain remaining items and return nullopt only
-/// once the queue is empty — so no accepted request is ever dropped.
+/// close() initiates shutdown: pending and subsequent pushes report
+/// kClosed, while pops continue to drain remaining items and return nullopt
+/// only once the queue is empty — so no accepted request is ever dropped.
 template <typename T>
 class RequestQueue {
  public:
@@ -48,25 +47,12 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Block until there is space, then enqueue. Returns false (dropping
-  /// `item`) if the queue is, or becomes, closed while waiting.
-  bool push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [this] { return closed_ || !full_locked(); });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Bounded-wait push — the submit-path primitive of an admission-
-  /// controlled engine: wait at most `timeout` for space instead of
-  /// blocking indefinitely like push(). On kFull or kClosed, `item` is
-  /// left untouched so the caller still owns its completion channel
-  /// (promise/callback) and can resolve it with a typed rejection instead
-  /// of silently dropping it. A zero or negative timeout degrades to a
-  /// non-blocking try.
+  /// controlled engine: wait at most `timeout` for space, never
+  /// indefinitely. On kFull or kClosed, `item` is left untouched so the
+  /// caller still owns its completion channel (promise/callback) and can
+  /// resolve it with a typed rejection instead of silently dropping it. A
+  /// zero or negative timeout degrades to a non-blocking try.
   PushResult try_push_for(T& item, std::chrono::steady_clock::duration timeout) {
     std::unique_lock<std::mutex> lock(mu_);
     if (timeout > std::chrono::steady_clock::duration::zero() && !closed_ &&
@@ -80,25 +66,6 @@ class RequestQueue {
     lock.unlock();
     not_empty_.notify_one();
     return PushResult::kPushed;
-  }
-
-  /// Enqueue without blocking. Returns false when full or closed.
-  bool try_push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || full_locked()) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Block until an item is available and dequeue it. Returns nullopt only
-  /// when the queue is closed and fully drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    return pop_locked(lock);
   }
 
   /// Dequeue without blocking; nullopt when empty.
@@ -142,9 +109,11 @@ class RequestQueue {
     return taken;
   }
 
-  /// Block until an item is available or `deadline` passes. A deadline in
-  /// the past degrades to try_pop. This is what an adaptive-batching worker
-  /// uses to wait out the remainder of a batch's flush window.
+  /// Block until an item is available or `deadline` passes; nullopt on
+  /// timeout, or once the queue is closed and drained. A deadline in the
+  /// past degrades to try_pop. This is what an adaptive-batching worker
+  /// uses to wait out the remainder of a batch's flush window, and what an
+  /// idle worker parks in.
   std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait_until(lock, deadline,

@@ -21,8 +21,8 @@ struct RouterConfig {
   /// so shards are isolation domains: a saturated shard cannot consume
   /// another shard's workers.
   std::size_t num_shards = 2;
-  /// Engine config applied to every shard (workers per shard, scheduling
-  /// mode, steal quantum).
+  /// Engine config applied to every shard (workers per shard, replica
+  /// autoscaling).
   ServerConfig shard;
   /// Virtual nodes per shard on the consistent-hash ring. More vnodes
   /// smooth the placement distribution; the default is ample for the

@@ -14,6 +14,12 @@ namespace {
 
 constexpr const char* kDefaultModelName = "default";
 
+/// How long an idle worker waits — parked on its home queue's condition
+/// variable, or asleep while every queued model is capacity-gated — before
+/// re-scanning every queue. A wait, not a spin: an idle engine costs one
+/// wakeup per worker per quantum.
+constexpr auto kIdleQuantum = std::chrono::microseconds(500);
+
 std::chrono::steady_clock::duration micros_duration(double micros) {
   return std::chrono::microseconds(
       std::max<std::int64_t>(0, static_cast<std::int64_t>(micros)));
@@ -366,36 +372,12 @@ void Server::start_serving() {
   if (models_.empty()) {
     throw std::logic_error("Server: no models registered");
   }
-  if (cfg_.num_workers > 0) {
-    // Shard workers over the models by ModelConfig::workers weight: deal
-    // worker i the i-th slot of a ring where each model appears `workers`
-    // times, so a weight-2 model gets twice the dedicated drain capacity.
-    std::vector<ModelEntry*> ring;
-    for (const auto& m : models_) {
-      const std::size_t w = std::max<std::size_t>(1, m->cfg.workers);
-      for (std::size_t i = 0; i < w; ++i) ring.push_back(m.get());
-    }
-    if (!cfg_.work_stealing) {
-      // Without stealing, a model whose every ring slot falls outside the
-      // first num_workers positions would never be drained and its submits
-      // would block forever — an invalid configuration, not a runtime
-      // condition. (Models occupy consecutive ring slots, so checking each
-      // model's first slot is exact.) Validated before shards_ is built so
-      // a failed start leaves no partial state behind.
-      std::size_t first_slot = 0;
-      for (const auto& m : models_) {
-        if (first_slot >= cfg_.num_workers) {
-          throw std::logic_error(
-              "Server: work_stealing is disabled and model \"" + m->name +
-              "\" has no home worker; raise num_workers or enable stealing");
-        }
-        first_slot += std::max<std::size_t>(1, m->cfg.workers);
-      }
-    }
-    shards_.reserve(cfg_.num_workers);
-    for (std::size_t i = 0; i < cfg_.num_workers; ++i) {
-      shards_.push_back(ring[i % ring.size()]);
-    }
+  // Worker i's home is the (i mod models)-th model: the queue it parks on
+  // when nothing is schedulable, so every model wakes some worker on
+  // arrival while num_workers >= models.
+  shards_.reserve(cfg_.num_workers);
+  for (std::size_t i = 0; i < cfg_.num_workers; ++i) {
+    shards_.push_back(models_[i % models_.size()].get());
   }
   // Publish the frozen registry before any worker (or lock-free lookup)
   // can observe started_ == true.
@@ -670,73 +652,29 @@ Server::ModelEntry* Server::pick_model_slo() const {
 
 void Server::worker_loop(std::size_t worker_index) {
   ModelEntry* home = shards_[worker_index];
-  const auto quantum = micros_duration(std::max(1.0, cfg_.steal_quantum_micros));
-  // Rotating sweep start so concurrently idle workers don't all gang up on
-  // the same victim queue (legacy scheduler only).
-  std::size_t sweep_start = worker_index + 1;
-  const bool single_queue = models_.size() == 1;
-  // SLO-aware scheduling replaces home-first FIFO only when cross-queue
-  // dequeue is allowed at all (work stealing on, several queues). With
-  // stealing off the shards are strict isolation domains; with one model
-  // there is nothing to order.
-  const bool slo_sched =
-      cfg_.slo_scheduling && cfg_.work_stealing && !single_queue;
-
   for (;;) {
-    if (slo_sched) {
-      if (ModelEntry* m = pick_model_slo()) {
-        if (auto first = m->queue.try_pop()) {
-          run_batch(*m, std::move(*first), m != home);
-        }
-        // Lost the pop race: the item went to another worker; re-scan.
-        continue;
+    if (ModelEntry* m = pick_model_slo()) {
+      if (auto first = m->queue.try_pop()) {
+        run_batch(*m, std::move(*first), m != home);
       }
-      if (drained_after_close()) return;
-      // Nothing schedulable. If the home queue holds work that is only
-      // capacity-gated (all home replicas busy), popping it would block
-      // this worker on a replica another class may need — sleep a quantum
-      // instead and let the executing workers pick the backlog up as
-      // their replicas free. (Ditto once the queue is closed, where a CV
-      // wait would return immediately and spin.) Otherwise park on the
-      // home queue's CV.
-      if (!home->queue.empty() || home->queue.closed()) {
-        std::this_thread::sleep_for(quantum);
-        continue;
-      }
-      if (auto first =
-              home->queue.pop_until(std::chrono::steady_clock::now() + quantum)) {
-        run_batch(*home, std::move(*first), /*stolen=*/false);
-      }
+      // Lost the pop race: the item went to another worker; re-scan.
       continue;
     }
-
-    // Legacy scheduler: home-queue FIFO with an idle-steal sweep — the
-    // baseline the SLO-attainment benchmark compares against.
-    std::optional<Request> first =
-        single_queue
-            ? home->queue.pop()
-            : home->queue.pop_until(std::chrono::steady_clock::now() + quantum);
-    ModelEntry* owner = home;
-
-    if (!first && !single_queue &&
-        (cfg_.work_stealing || stopping_.load(std::memory_order_acquire))) {
-      // One non-blocking sweep over the other models' queues. During
-      // shutdown the sweep runs even with stealing disabled: the drain
-      // guarantee outranks the sharding preference.
-      for (std::size_t k = 0; k < models_.size() && !first; ++k) {
-        ModelEntry* cand = models_[(sweep_start + k) % models_.size()].get();
-        if (cand == home) continue;
-        first = cand->queue.try_pop();
-        if (first) owner = cand;
-      }
-      ++sweep_start;
-    }
-
-    if (!first) {
-      if (drained_after_close()) return;
+    if (drained_after_close()) return;
+    // Nothing schedulable. If the home queue holds work that is only
+    // capacity-gated (all home replicas busy), popping it would block this
+    // worker on a replica another class may need — sleep a quantum instead
+    // and let the executing workers pick the backlog up as their replicas
+    // free. (Ditto once the queue is closed, where a CV wait would return
+    // immediately and spin.) Otherwise park on the home queue's CV.
+    if (!home->queue.empty() || home->queue.closed()) {
+      std::this_thread::sleep_for(kIdleQuantum);
       continue;
     }
-    run_batch(*owner, std::move(*first), owner != home);
+    const auto wake = std::chrono::steady_clock::now() + kIdleQuantum;
+    if (auto first = home->queue.pop_until(wake)) {
+      run_batch(*home, std::move(*first), /*stolen=*/false);
+    }
   }
 }
 
@@ -772,8 +710,8 @@ std::shared_ptr<Server::Replica> Server::acquire_replica(ModelEntry& m) {
       }
     }
     // Every live slot was claimed between the scheduler's capacity check
-    // and now (or the caller bypassed the gate, e.g. the legacy scheduler
-    // / inline mode): wait on the live slot with the fewest in-flight
+    // and now (or the caller bypassed the gate: a pop from the home queue
+    // or the inline mode): wait on the live slot with the fewest in-flight
     // rows. If every slot of this snapshot began draining meanwhile (a
     // stale generation), re-read the group — the published one always
     // holds a live replica.

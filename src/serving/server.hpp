@@ -35,15 +35,15 @@ struct NameHash {
 };
 
 /// Per-model policy of a registry entry: its SLO class, queue bound,
-/// batching policy (fixed cap or AIMD-tuned), end-to-end cache, replica
-/// count, and worker-shard weight.
+/// batching policy (fixed cap or AIMD-tuned), end-to-end cache, and
+/// replica count.
 ///
 /// A ModelConfig is copied at registration; later mutation of the caller's
 /// copy has no effect on the registered model.
 struct ModelConfig {
   /// Latency objective + scheduling class (see slo.hpp). Drives the
-  /// cross-model dequeue order under `ServerConfig::slo_scheduling` and,
-  /// when `aimd.slo_micros` is 0, the derived AIMD batch-latency target.
+  /// workers' cross-model dequeue order and, when `aimd.slo_micros` is 0,
+  /// the derived AIMD batch-latency target.
   /// `deadline_micros` must be positive (registration rejects otherwise).
   SloClass slo;
   /// Batch cap the adaptive micro-batching starts from. With AIMD enabled
@@ -60,10 +60,6 @@ struct ModelConfig {
   /// Clipper-style end-to-end prediction cache, checked before enqueue.
   bool enable_e2e_cache = false;
   std::size_t e2e_cache_capacity = 0;
-  /// How many of the engine's workers call this model home (shard weight).
-  /// Workers are dealt round-robin over a list where each model appears
-  /// `workers` times; an idle worker steals from other models regardless.
-  std::size_t workers = 1;
   /// Initial replica-group size: how many execution slots the model starts
   /// with, all sharing the registered pipeline (min 1). Each replica runs
   /// one batch at a time — the Clipper model-container execution model —
@@ -95,32 +91,15 @@ struct ModelConfig {
   LoadControlConfig load_control;
 };
 
-/// Engine-wide threading and scheduling policy of the serving registry.
+/// Engine-wide threading policy of the serving registry.
 struct ServerConfig {
-  /// Worker threads shared by all registered models, sharded by
-  /// ModelConfig::workers weights. 0 = synchronous-only: no threads are
-  /// spawned and submit() executes inline on the caller (no coalescing) —
-  /// the right mode for a batch-at-a-time frontend embedding the engine.
+  /// Worker threads shared by all registered models. Any worker serves
+  /// any model; worker i's home — the queue it parks on when nothing is
+  /// schedulable — is the (i mod models)-th registered model. 0 =
+  /// synchronous-only: no threads are spawned and submit() executes inline
+  /// on the caller (no coalescing) — the right mode for a batch-at-a-time
+  /// frontend embedding the engine.
   std::size_t num_workers = 1;
-  /// Let a worker whose home queue is idle drain other models' queues, so
-  /// a hot model borrows an idle model's workers. With stealing disabled,
-  /// every worker serves only its home model (strict shard isolation) and
-  /// start-up rejects configurations that would strand a model with no
-  /// home worker.
-  bool work_stealing = true;
-  /// SLO-aware cross-queue dequeue order (requires `work_stealing`): a
-  /// worker picks the next model by (class priority descending, earliest
-  /// head deadline first) over every queue with a free replica, instead
-  /// of home-queue-first FIFO with an idle-steal sweep. Disable to get
-  /// the legacy FIFO/steal scheduler — the baseline the SLO-attainment
-  /// bench compares against.
-  bool slo_scheduling = true;
-  /// How long an idle worker waits on its home queue's condition variable
-  /// before re-scanning the other queues (one non-blocking sweep in the
-  /// legacy scheduler; a priority re-scan in the SLO scheduler). This is
-  /// a CV wait, not a spin: an idle engine costs one wakeup per worker
-  /// per quantum.
-  double steal_quantum_micros = 500.0;
   /// Background replica autoscaling (serving/autoscaler.hpp): when enabled,
   /// start_serving() spawns a controller thread that periodically evaluates
   /// every model's LoadController snapshot through an AutoscalePolicy and
@@ -139,7 +118,7 @@ struct ModelStats {
   std::size_t batches = 0;       // pipeline executions (coalesced or client batches)
   std::size_t rows = 0;          // rows through the pipeline
   std::size_t largest_batch = 0; // biggest single pipeline execution
-  std::size_t stolen_batches = 0;  // batches executed by a non-home worker
+  std::size_t stolen_batches = 0;  // batches run by a worker homed elsewhere
   double inference_seconds = 0.0;
   common::Summary latency;       // submit()-to-completion seconds per query
   std::size_t latency_samples = 0;
@@ -584,6 +563,8 @@ class Server {
   /// Shared enqueue path behind both submit overloads.
   void submit_request(ModelEntry& m, data::Batch row, Callback done,
                       std::promise<double>* inline_promise);
+  /// The one scheduler: take the most urgent schedulable queue (see
+  /// pick_model_slo); with none, park on the worker's home queue.
   void worker_loop(std::size_t worker_index);
   /// SLO-aware pick: the schedulable model (non-empty queue, free replica)
   /// whose head request is most urgent by (priority, earliest deadline);
@@ -627,7 +608,7 @@ class Server {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 
-  std::vector<ModelEntry*> shards_;  // worker i's home model
+  std::vector<ModelEntry*> shards_;  // worker i's home (parking) model
   std::vector<std::thread> workers_;
   bool joined_ = false;
   std::mutex shutdown_mu_;

@@ -15,11 +15,11 @@ namespace willump::serving {
 ///
 /// - **Queue order.** Workers dequeue across models by (priority
 ///   descending, earliest absolute deadline first); see
-///   `ServerConfig::slo_scheduling`. The absolute deadline of a queued
-///   request is its accept time plus `deadline_micros`, so within one
-///   class earliest-deadline-first degrades to FIFO (deadlines are an
-///   accept-time offset) and across classes the closest deadline wins ties
-///   between equal priorities.
+///   `Server::pick_model_slo`. The absolute deadline of a queued request
+///   is its accept time plus `deadline_micros`, so within one class
+///   earliest-deadline-first degrades to FIFO across every model of the
+///   class (deadlines are an accept-time offset) and across classes the
+///   closest deadline wins ties between equal priorities.
 /// - **Batch-latency target.** The AIMD controller tunes the micro-batch
 ///   cap against a *batch execution* SLO. When `AimdConfig::slo_micros` is
 ///   left at 0 the engine derives it as `batch_slo_fraction *

@@ -25,9 +25,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -151,20 +155,33 @@ TEST(ThreadPoolRunAll, ConcurrentCallersDoNotShareState) {
 // RequestQueue
 // ---------------------------------------------------------------------------
 
+// Non-blocking enqueue through the engine's only push verb.
+bool push_now(runtime::RequestQueue<int>& q, int item) {
+  return q.try_push_for(item, std::chrono::milliseconds(0)) ==
+         runtime::PushResult::kPushed;
+}
+
+// A consumer deadline far enough out that returning before it means the
+// queue reported exhaustion, not a timeout.
+std::chrono::steady_clock::time_point far_deadline() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(60);
+}
+
 TEST(RequestQueue, FifoOrder) {
   runtime::RequestQueue<int> q;
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.pop(), i);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(push_now(q, i));
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.try_pop(), i);
   EXPECT_EQ(q.try_pop(), std::nullopt);
 }
 
-TEST(RequestQueue, TryPushRespectsCapacity) {
+TEST(RequestQueue, NonBlockingPushRespectsCapacity) {
   runtime::RequestQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
+  EXPECT_TRUE(push_now(q, 1));
+  EXPECT_TRUE(push_now(q, 2));
+  EXPECT_FALSE(push_now(q, 3));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.try_pop(), 1);
+  EXPECT_TRUE(push_now(q, 3));
 }
 
 TEST(RequestQueue, TryPushForReturnsTypedResultAndKeepsItemOnFailure) {
@@ -181,12 +198,12 @@ TEST(RequestQueue, TryPushForReturnsTypedResultAndKeepsItemOnFailure) {
   // Bounded wait: space appears inside the window and the push lands.
   std::thread consumer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(q.pop(), 1);
+    EXPECT_EQ(q.try_pop(), 1);
   });
   EXPECT_EQ(q.try_push_for(rejected, std::chrono::seconds(5)),
             runtime::PushResult::kPushed);
   consumer.join();
-  EXPECT_EQ(q.pop(), 2);
+  EXPECT_EQ(q.try_pop(), 2);
 }
 
 TEST(RequestQueue, TryPushForBoundsTheWaitOnAFullQueue) {
@@ -200,7 +217,7 @@ TEST(RequestQueue, TryPushForBoundsTheWaitOnAFullQueue) {
             runtime::PushResult::kFull);
   const double waited = t.elapsed_seconds();
   EXPECT_GE(waited, 0.020);  // it did wait for space...
-  EXPECT_LT(waited, 5.0);    // ...but returned, unlike the blocking push
+  EXPECT_LT(waited, 5.0);    // ...but returned instead of blocking
   q.close();
   EXPECT_EQ(q.try_push_for(item, std::chrono::milliseconds(0)),
             runtime::PushResult::kClosed);
@@ -208,7 +225,7 @@ TEST(RequestQueue, TryPushForBoundsTheWaitOnAFullQueue) {
 
 TEST(RequestQueue, DrainTakesUpToMaxInFifoOrder) {
   runtime::RequestQueue<int> q;
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.push(i));
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(push_now(q, i));
   std::vector<int> out;
   EXPECT_EQ(q.drain(out, 4), 4u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
@@ -219,9 +236,13 @@ TEST(RequestQueue, DrainTakesUpToMaxInFifoOrder) {
 
 TEST(RequestQueue, DrainUnblocksProducers) {
   runtime::RequestQueue<int> q(2);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  std::thread producer([&q] { EXPECT_TRUE(q.push(3)); });
+  ASSERT_TRUE(push_now(q, 1));
+  ASSERT_TRUE(push_now(q, 2));
+  std::thread producer([&q] {
+    int item = 3;
+    EXPECT_EQ(q.try_push_for(item, std::chrono::seconds(30)),
+              runtime::PushResult::kPushed);
+  });
   std::vector<int> out;
   while (q.drain(out, 4) == 0) std::this_thread::yield();
   producer.join();
@@ -229,44 +250,42 @@ TEST(RequestQueue, DrainUnblocksProducers) {
   EXPECT_EQ(out.size(), 3u);
 }
 
-TEST(RequestQueue, PushBlocksUntilSpace) {
-  runtime::RequestQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread producer([&q] { EXPECT_TRUE(q.push(2)); });
-  EXPECT_EQ(q.pop(), 1);  // unblocks the producer
-  producer.join();
-  EXPECT_EQ(q.pop(), 2);
-}
-
 TEST(RequestQueue, CloseDrainsThenReportsExhaustion) {
   runtime::RequestQueue<int> q;
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
+  ASSERT_TRUE(push_now(q, 1));
+  ASSERT_TRUE(push_now(q, 2));
   q.close();
-  EXPECT_FALSE(q.push(3));  // no new work after close
-  EXPECT_EQ(q.pop(), 1);    // accepted work still drains
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
+  int late = 3;
+  EXPECT_EQ(q.try_push_for(late, std::chrono::milliseconds(0)),
+            runtime::PushResult::kClosed);  // no new work after close
+  EXPECT_EQ(q.pop_until(far_deadline()), 1);  // accepted work still drains
+  EXPECT_EQ(q.pop_until(far_deadline()), 2);
+  common::Timer t;
+  EXPECT_EQ(q.pop_until(far_deadline()), std::nullopt);
+  EXPECT_LT(t.elapsed_seconds(), 5.0);  // exhaustion, not a timeout
 }
 
 TEST(RequestQueue, CloseWakesBlockedConsumer) {
   runtime::RequestQueue<int> q;
-  std::thread consumer([&q] { EXPECT_EQ(q.pop(), std::nullopt); });
+  common::Timer t;
+  std::thread consumer(
+      [&q] { EXPECT_EQ(q.pop_until(far_deadline()), std::nullopt); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.close();
   consumer.join();
+  EXPECT_LT(t.elapsed_seconds(), 30.0);  // woken by close, not the deadline
 }
 
 TEST(RequestQueue, PeekFrontReadsHeadWithoutDequeuing) {
   runtime::RequestQueue<int> q;
   EXPECT_EQ(q.peek_front([](const int& v) { return v; }), std::nullopt);
-  ASSERT_TRUE(q.push(7));
-  ASSERT_TRUE(q.push(8));
+  ASSERT_TRUE(push_now(q, 7));
+  ASSERT_TRUE(push_now(q, 8));
   // The peek projects the head (the priority-aware drain reads a deadline
   // this way) and leaves the queue untouched.
   EXPECT_EQ(q.peek_front([](const int& v) { return v * 10; }), 70);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop(), 7);
+  EXPECT_EQ(q.try_pop(), 7);
   EXPECT_EQ(q.peek_front([](const int& v) { return v; }), 8);
 }
 
@@ -287,7 +306,14 @@ TEST(RequestQueue, ManyProducersManyConsumers) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
+        // Back-pressure: retry the bounded wait until a consumer frees
+        // space; only kPushed may end the retry.
+        int item = p * kPerProducer + i;
+        runtime::PushResult r;
+        while ((r = q.try_push_for(item, std::chrono::milliseconds(100))) ==
+               runtime::PushResult::kFull) {
+        }
+        ASSERT_EQ(r, runtime::PushResult::kPushed);
       }
     });
   }
@@ -295,7 +321,17 @@ TEST(RequestQueue, ManyProducersManyConsumers) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 3; ++c) {
     consumers.emplace_back([&q, &got, c] {
-      while (auto v = q.pop()) got[static_cast<std::size_t>(c)].push_back(*v);
+      // pop_until returns nullopt on a timeout too: stop only once the
+      // queue is closed and empty.
+      for (;;) {
+        auto v = q.pop_until(std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(50));
+        if (v) {
+          got[static_cast<std::size_t>(c)].push_back(*v);
+        } else if (q.closed() && q.empty()) {
+          break;
+        }
+      }
     });
   }
   for (auto& p : producers) p.join();
@@ -743,21 +779,6 @@ TEST(ServerRegistry, MisroutedRowDoesNotFailCoalescedBatchMates) {
                    tox.pipeline.predict_one(tox.wl.test.inputs.row(1)));
 }
 
-TEST(ServerRegistry, NoStealingWithUncoveredModelIsRejected) {
-  auto& tox = fixture();
-  auto& cred = credit_fixture();
-  serving::ServerConfig cfg;
-  cfg.num_workers = 1;      // only the first model would get a home worker
-  cfg.work_stealing = false;
-  serving::Server server(cfg);
-  server.register_model("toxic", &tox.pipeline);
-  server.register_model("credit", &cred.pipeline);
-  // Starting to serve would strand credit's queue forever; the registry
-  // rejects the configuration instead of hanging the first credit submit.
-  EXPECT_THROW((void)server.submit("toxic", tox.wl.test.inputs.row(0)),
-               std::logic_error);
-}
-
 TEST(ServerRegistry, MultiModelShutdownDrainsEveryQueue) {
   auto& tox = fixture();
   auto& cred = credit_fixture();
@@ -783,7 +804,6 @@ TEST(ServerRegistry, WorkStealingDrainsModelWithNoHomeWorker) {
   auto& cred = credit_fixture();
   serving::ServerConfig cfg;
   cfg.num_workers = 1;  // the single worker homes the first model
-  cfg.steal_quantum_micros = 200.0;
   serving::Server server(cfg);
   server.register_model("toxic", &tox.pipeline);
   server.register_model("credit", &cred.pipeline);
@@ -1125,6 +1145,58 @@ TEST(ServerAimd, BatchTargetDerivesFromClassDeadline) {
   }
   EXPECT_GT(relaxed_server.current_max_batch("default"), 4u);
   EXPECT_EQ(relaxed_server.stats("default").aimd_backoffs, 0u);
+}
+
+// Within one SLO class the (priority, deadline) key reduces to arrival
+// order across models — the FIFO baseline of the serving bench relies on
+// it. Hold the engine's only worker inside a third model's coalescing
+// window (as QueueFullRejectsInsteadOfBlockingSubmit does), queue
+// a0, b0, a1, b1 on two same-class models, and check that the released
+// worker completes them in submit order rather than model by model.
+TEST(ServerSlo, SameClassDequeuesInArrivalOrderAcrossModels) {
+  auto& tox = fixture();
+  auto& cred = credit_fixture();
+  serving::ServerConfig cfg;
+  cfg.num_workers = 1;
+  serving::Server server(cfg);
+  serving::ModelConfig blocker_cfg;
+  blocker_cfg.max_batch = 64;          // never fills from one query
+  blocker_cfg.max_delay_micros = 8e5;  // 800 ms coalescing window
+  server.register_model("blocker", &cred.pipeline, blocker_cfg);
+  serving::ModelConfig same_class;
+  same_class.slo = serving::SloClass::standard();
+  same_class.max_batch = 1;  // one request per batch: order is observable
+  server.register_model("a", &tox.pipeline, same_class);
+  server.register_model("b", &tox.pipeline, same_class);
+
+  auto parked = server.submit("blocker", cred.wl.test.inputs.row(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+
+  std::mutex mu;
+  std::vector<std::string> order;
+  std::vector<std::future<void>> done;
+  const std::vector<std::pair<std::string, std::string>> submits = {
+      {"a", "a0"}, {"b", "b0"}, {"a", "a1"}, {"b", "b1"}};
+  for (std::size_t q = 0; q < submits.size(); ++q) {
+    auto finished = std::make_shared<std::promise<void>>();
+    done.push_back(finished->get_future());
+    const std::string tag = submits[q].second;
+    server.submit(submits[q].first, tox.wl.test.inputs.row(q),
+                  [&mu, &order, tag, finished](double, std::exception_ptr err) {
+                    EXPECT_EQ(err, nullptr);
+                    {
+                      std::lock_guard<std::mutex> lock(mu);
+                      order.push_back(tag);
+                    }
+                    finished->set_value();
+                  });
+    // Distinct accept timestamps: arrival order is unambiguous.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  (void)parked.get();
+  for (auto& f : done) f.get();
+  server.shutdown();
+  EXPECT_EQ(order, (std::vector<std::string>{"a0", "b0", "a1", "b1"}));
 }
 
 // The starvation / priority-inversion guarantee: a saturating best-effort

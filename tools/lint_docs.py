@@ -14,6 +14,11 @@ Checks every tracked *.md file for:
    a row in README's "Process-wide environment gates" table, and every row
    of that table names a variable some file under `src/`, `tests/` or
    `bench/` reads, so a deleted gate cannot linger in the docs.
+4. **Config knobs** — every backticked knob in the first column of
+   README's `ServerConfig` / `ModelConfig` / `RouterConfig` tables names
+   data members declared under `src/serving/` (each dotted component), and
+   every top-level member of `ServerConfig` and `ModelConfig` has a row,
+   so a deleted knob cannot linger and a new one cannot go undocumented.
 
 Exits non-zero listing every violation; CI (and the `docs` ctest entry)
 fails the build on breakage. Stdlib only — no pip dependencies.
@@ -111,27 +116,33 @@ def check_file(path: Path) -> list[str]:
 
 
 GATES_HEADING = "Process-wide environment gates"
-GATE_ROW_RE = re.compile(r"^\|\s*`(WILLUMP_\w+)`\s*\|")
+GATE_CELL_RE = re.compile(r"^`(WILLUMP_\w+)`$")
 GETENV_RE = re.compile(r'getenv\(\s*"(WILLUMP_\w+)"\s*\)')
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 
 
-def gate_rows() -> list[str]:
-    """Variables in the first column of README's environment-gate table."""
+def table_first_column(heading: str) -> list[str] | None:
+    """First-column cells of the README table that follows the first line
+    containing `heading`; None when no such line exists."""
     rows: list[str] = []
     in_section = False
     for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
-        if GATES_HEADING in line:
-            in_section = True
-            continue
         if not in_section:
+            in_section = heading in line
             continue
-        m = GATE_ROW_RE.match(line)
-        if m:
-            rows.append(m.group(1))
-        elif rows and not line.startswith("|"):
+        if line.startswith("|"):
+            cell = line.split("|")[1].strip()
+            if cell != "knob" and not set(cell) <= set("-: "):
+                rows.append(cell)
+        elif rows:
             break  # the table ended
-    return rows
+    return rows if in_section else None
+
+
+def gate_rows() -> list[str]:
+    """Variables in the first column of README's environment-gate table."""
+    rows = table_first_column(GATES_HEADING) or []
+    return [m.group(1) for cell in rows if (m := GATE_CELL_RE.match(cell))]
 
 
 def env_reads(dirs: tuple[str, ...]) -> dict[str, str]:
@@ -166,12 +177,98 @@ def check_env_gates() -> list[str]:
     return errors
 
 
+KNOB_TABLES = ("serving::ServerConfig", "serving::ModelConfig",
+               "serving::RouterConfig")
+# Structs whose every top-level member must have a README row.
+COVERED_STRUCTS = ("ServerConfig", "ModelConfig")
+# A data-member declaration: a type, a name, an optional default, a `;`.
+# Function declarations (a `(` after the name) never match.
+MEMBER_RE = re.compile(
+    r"^\s*(?!return\b|using\b|typedef\b)[\w:<>,\s*&]+?[\s*&>](\w+)"
+    r"\s*(?:=[^;]*|\{[^;]*\})?;"
+)
+
+
+def declared_members(text: str) -> set[str]:
+    return {m.group(1) for line in text.splitlines() if (m := MEMBER_RE.match(line))}
+
+
+def struct_body(text: str, name: str) -> str | None:
+    """Text of `struct <name> { ... };` with nested braces kept, or None."""
+    m = re.search(r"\bstruct\s+" + name + r"\s*\{", text)
+    if not m:
+        return None
+    depth, i = 1, m.end()
+    while depth and i < len(text):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return text[m.end():i - 1]
+
+
+def top_level(body: str) -> str:
+    """`body` with nested brace blocks (inline member functions) removed."""
+    out, depth = [], 0
+    for ch in body:
+        if ch == "}":
+            depth -= 1
+        if depth == 0:
+            out.append(ch)
+        if ch == "{":
+            depth += 1
+    return "".join(out)
+
+
+def cell_knobs(cell: str) -> list[str]:
+    """Knobs of one first-column cell. A bare name after a dotted one is
+    shorthand for a sibling: `aimd.min_batch` / `max_batch` names
+    aimd.max_batch."""
+    spans = CODE_SPAN_RE.findall(cell)
+    prefix = spans[0].rpartition(".")[0] if spans else ""
+    return [s if "." in s or not prefix else f"{prefix}.{s}" for s in spans]
+
+
+def check_config_knobs() -> list[str]:
+    sources = {p: p.read_text(encoding="utf-8")
+               for p in sorted((REPO / "src" / "serving").glob("*.hpp"))}
+    members = set().union(*(declared_members(t) for t in sources.values()))
+    errors: list[str] = []
+    tables: dict[str, list[str]] = {}
+    for heading in KNOB_TABLES:
+        rows = table_first_column(f"`{heading}`")
+        if not rows:
+            errors.append(f"README.md: no `{heading}` knob table found")
+            continue
+        tables[heading] = [k for cell in rows for k in cell_knobs(cell)]
+        for knob in tables[heading]:
+            missing = [c for c in knob.split(".") if c not in members]
+            if missing:
+                errors.append(
+                    f"README.md: `{heading}` knob `{knob}` names no data member "
+                    f"declared under src/serving/ ({', '.join(missing)})")
+    for struct in COVERED_STRUCTS:
+        heading = f"serving::{struct}"
+        if heading not in tables:
+            continue
+        body = next((b for t in sources.values()
+                     if (b := struct_body(t, struct)) is not None), None)
+        if body is None:
+            errors.append(f"src/serving/: struct {struct} not found")
+            continue
+        documented = {k.split(".")[0] for k in tables[heading]}
+        errors.extend(
+            f"src/serving/: {struct}::{member} has no row in README's "
+            f"`{heading}` knob table"
+            for member in sorted(declared_members(top_level(body)) - documented))
+    return errors
+
+
 def main() -> int:
     all_errors: list[str] = []
     files = md_files()
     for f in files:
         all_errors.extend(check_file(f))
     all_errors.extend(check_env_gates())
+    all_errors.extend(check_config_knobs())
     if all_errors:
         print(f"docs lint: {len(all_errors)} problem(s) in {len(files)} files")
         for e in all_errors:
