@@ -6,10 +6,10 @@
 //      predictions either way.
 //   2. Per-replica heap cost of loading the same artifact N times with the
 //      content-hash intern pool on vs off (CoW fitted state).
-//   3. Artifact bytes under the WLMP v4 per-section codecs vs the v3
-//      fixed-width layout, for a text pipeline (toxic) and a tables+GBDT
-//      pipeline (music).
-//   4. Cold-start: pipeline_from_bytes latency on v4 vs v3 artifacts.
+//   3. WLMP artifact bytes (v4 per-section codecs) for a text pipeline
+//      (toxic) and a tables+GBDT pipeline (music).
+//   4. Cold-start: pipeline_from_bytes CPU time on those artifacts, with
+//      the loaded pipeline predicting bit-identically to the in-memory one.
 //
 // Heap accounting replaces the global operator new/delete with counting
 // wrappers (glibc malloc_usable_size gives the live-byte delta without a
@@ -265,76 +265,47 @@ void bench_replicas(const std::vector<std::uint8_t>& artifact) {
               "intern pool strictly cheaper than private copies at 3 replicas");
 }
 
-/// Sections 3+4: artifact bytes v4 vs v3, plus cold-start parity. toxic's
-/// TF-IDF vocabularies front-code and its index streams delta-encode, so it
-/// compresses hard; music is dominated by ~1 MiB of incompressible gaussian
-/// table payloads, so its honest floor is modest (ISSUE.md's premise that
-/// music carries a TF-IDF vocabulary is wrong — it is tables+GBDT — and the
-/// floors below are calibrated to what the codecs actually achieve).
-void bench_artifact(const workloads::Workload& wl,
-                    const core::OptimizedPipeline& p, double max_ratio,
-                    std::vector<std::uint8_t>* v4_out = nullptr) {
-  std::printf("\n-- %s: artifact bytes + cold start (v4 codecs vs v3) --\n",
-              wl.name.c_str());
-  const std::vector<std::uint8_t> v4 = serialize::pipeline_to_bytes(p);
-  const std::vector<std::uint8_t> v3 = serialize::pipeline_to_bytes(p, 3);
-  const double ratio =
-      static_cast<double>(v4.size()) / static_cast<double>(v3.size());
-
-  core::OptimizedPipeline from_v3 = serialize::pipeline_from_bytes(v3);
-  core::OptimizedPipeline from_v4 = serialize::pipeline_from_bytes(v4);
-  // Cold start is compared in *thread CPU time*, interleaved, min-of-reps:
-  // the full ctest tree runs this bench alongside 8-way suites, where wall
-  // clock inflates ~6x with scheduler noise that lands asymmetrically on
-  // the two arms. CPU time measures the decode work itself.
+/// Sections 3+4: artifact bytes and cold-start CPU time, plus load parity.
+/// toxic's TF-IDF vocabularies front-code and its index streams
+/// delta-encode; music is dominated by ~1 MiB of incompressible gaussian
+/// table payloads. Returns the artifact for the replica section.
+std::vector<std::uint8_t> bench_artifact(const workloads::Workload& wl,
+                                         const core::OptimizedPipeline& p) {
+  std::printf("\n-- %s: artifact bytes + cold start --\n", wl.name.c_str());
+  std::vector<std::uint8_t> bytes = serialize::pipeline_to_bytes(p);
+  core::OptimizedPipeline loaded = serialize::pipeline_from_bytes(bytes);
+  // Cold start in *thread CPU time*, min-of-reps: the full ctest tree runs
+  // this bench alongside 8-way suites, where wall clock inflates ~6x with
+  // scheduler noise. CPU time measures the decode work itself.
   const int reps = smoke() ? 1 : 9;
-  double load_v3 = 1e300;
-  double load_v4 = 1e300;
-  const auto cpu_load_micros = [](const std::vector<std::uint8_t>& bytes) {
+  double load_us = 1e300;
+  for (int r = 0; r < reps; ++r) {
     timespec t0, t1;
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
     (void)serialize::pipeline_from_bytes(bytes);
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
-    return static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e6 +
-           static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-3;
-  };
-  for (int r = 0; r < reps; ++r) {
-    load_v3 = std::min(load_v3, cpu_load_micros(v3));
-    load_v4 = std::min(load_v4, cpu_load_micros(v4));
+    load_us = std::min(load_us,
+                       static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e6 +
+                           static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-3);
   }
 
   const std::vector<double> ref = p.predict(wl.test.inputs);
-  const std::vector<double> got_v3 = from_v3.predict(wl.test.inputs);
-  const std::vector<double> got_v4 = from_v4.predict(wl.test.inputs);
+  const std::vector<double> got = loaded.predict(wl.test.inputs);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (ref[i] != got_v3[i] || ref[i] != got_v4[i]) ++mismatches;
+    if (ref[i] != got[i]) ++mismatches;
   }
 
-  TablePrinter table({"format", "bytes", "vs v3", "load cpu us"});
+  TablePrinter table({"format", "bytes", "load cpu us"});
   table.print_header();
-  table.print_row({"v3 fixed-width", fmt("%.0f", static_cast<double>(v3.size())),
-                   "1.00x", fmt("%.0f", load_v3)});
-  table.print_row({"v4 codecs", fmt("%.0f", static_cast<double>(v4.size())),
-                   fmt("%.2fx", ratio), fmt("%.0f", load_v4)});
-  std::printf("parity: %zu mismatched predictions across formats (must be 0)\n",
+  table.print_row({"wlmp v4", fmt("%.0f", static_cast<double>(bytes.size())),
+                   fmt("%.0f", load_us)});
+  std::printf("parity: %zu mismatched predictions after load (must be 0)\n",
               mismatches);
 
-  check_trend(mismatches == 0, "v3/v4 loads predict bit-identically");
-  char what[128];
-  std::snprintf(what, sizeof what, "%s v4 artifact <= %.2fx v3 bytes",
-                wl.name.c_str(), max_ratio);
-  if (trend()) {
-    if (ratio <= max_ratio) {
-      std::printf("trend ok: %s\n", what);
-    } else {
-      std::printf("TREND VIOLATION: %s (got %.2fx)\n", what, ratio);
-      ++failures;
-    }
-  }
-  check_trend(load_v4 <= 1.3 * load_v3 + 500.0,
-              "v4 cold-start no slower than v3 (30% + 500us tolerance)");
-  if (v4_out != nullptr) *v4_out = v4;
+  check_trend(mismatches == 0,
+              "loaded artifact predicts bit-identically to the in-memory pipeline");
+  return bytes;
 }
 
 }  // namespace
@@ -362,11 +333,10 @@ int main(int argc, char** argv) {
   bench_allocations(wl_music, music, /*expect_zero=*/true);
   bench_allocations(wl_toxic, toxic, /*expect_zero=*/false);
 
-  std::vector<std::uint8_t> music_v4;
-  bench_artifact(wl_music, music, /*max_ratio=*/0.95, &music_v4);
-  bench_artifact(wl_toxic, toxic, /*max_ratio=*/0.70);
+  const std::vector<std::uint8_t> music_bytes = bench_artifact(wl_music, music);
+  (void)bench_artifact(wl_toxic, toxic);
 
-  bench_replicas(music_v4);
+  bench_replicas(music_bytes);
 
   if (trend() && failures > 0) {
     std::printf("\n%d trend assertion(s) FAILED\n", failures);

@@ -351,10 +351,12 @@ int main(int argc, char** argv) {
   {
     // Calibrate the deadline to this machine: the non-preemptive bound is
     // one in-flight best-effort batch; grant ~30 batch-times of headroom.
-    common::Timer calib;
-    (void)music_pipeline.predict(music.test.inputs.select_rows(
-        std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-    const double music_batch_seconds = std::max(1e-4, calib.elapsed_seconds());
+    // Median of several timings, so one preempted call cannot inflate it.
+    const data::Batch batch8 = music.test.inputs.select_rows(
+        std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7});
+    const double music_batch_seconds = std::max(
+        1e-4, common::time_median_seconds(
+                  5, [&] { (void)music_pipeline.predict(batch8); }));
     const double deadline_micros =
         std::max(50e3, 30.0 * music_batch_seconds * 1e6);
     const std::size_t n_slo = smoke() ? 60 : (trend() ? 500 : 1200);
@@ -624,10 +626,13 @@ int main(int argc, char** argv) {
   // step phase is an unmeasured transition window, and only the tail phase
   // is judged by the CI criterion.
   {
-    common::Timer cap_timer;
-    (void)music_pipeline.predict(music.test.inputs.select_rows(
-        std::vector<std::size_t>{0, 1, 2, 3}));
-    const double batch4_seconds = std::max(1e-4, cap_timer.elapsed_seconds());
+    // Median of several timings, so one preempted call cannot skew the
+    // replica capacity or the deadline.
+    const data::Batch batch4 = music.test.inputs.select_rows(
+        std::vector<std::size_t>{0, 1, 2, 3});
+    const double batch4_seconds = std::max(
+        1e-4, common::time_median_seconds(
+                  5, [&] { (void)music_pipeline.predict(batch4); }));
     const double replica_qps = 4.0 / batch4_seconds;
     const double warm_qps = 0.5 * replica_qps;
     const double step_qps = 2.5 * replica_qps;

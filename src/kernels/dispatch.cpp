@@ -120,9 +120,7 @@ void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.lookup));
   w.u32(c.block_rows);
   w.u8(c.zero_copy ? 1 : 0);
-  if (w.format_version() >= 4) {
-    w.u8(static_cast<std::uint8_t>(c.onehot));
-  }
+  w.u8(static_cast<std::uint8_t>(c.onehot));
 }
 
 FeatureOpConfig load_featureop_config(serialize::Reader& r) {
@@ -130,9 +128,7 @@ FeatureOpConfig load_featureop_config(serialize::Reader& r) {
   const std::uint8_t lookup = r.u8();
   const std::uint32_t block_rows = r.u32();
   const std::uint8_t zero_copy = r.u8();
-  // v3 artifacts predate the one-hot stage: the default (Scalar) is the
-  // exact behavior they were tuned with.
-  const std::uint8_t onehot = r.format_version() >= 4 ? r.u8() : 0;
+  const std::uint8_t onehot = r.u8();
   if (lookup > static_cast<std::uint8_t>(LookupVariant::SortedVocab) ||
       block_rows == 0 || block_rows > kMaxBlockRows || zero_copy > 1 ||
       onehot > static_cast<std::uint8_t>(OneHotVariant::Batched)) {

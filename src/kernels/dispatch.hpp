@@ -120,10 +120,8 @@ const char* variant_name(OneHotVariant v);
 void save_kernel_config(serialize::Writer& w, const KernelConfig& c);
 KernelConfig load_kernel_config(serialize::Reader& r);
 
-/// Serialize/deserialize a feature-op config (fixed 6 bytes in v3
-/// artifacts, 7 in v4 — the one-hot variant byte rides the format-version
-/// gate the Writer/Reader carry). Same validation discipline as the
-/// kernel config.
+/// Serialize/deserialize a feature-op config (fixed 7 bytes). Same
+/// validation discipline as the kernel config.
 void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c);
 FeatureOpConfig load_featureop_config(serialize::Reader& r);
 

@@ -196,38 +196,31 @@ void TfIdfModel::save(serialize::Writer& w) const {
   w.u8(cfg_.use_idf ? 1 : 0);
   w.u8(cfg_.sublinear_tf ? 1 : 0);
   w.u8(cfg_.l2_normalize ? 1 : 0);
-  if (w.format_version() >= 4) {
-    // v4: vocabulary front-coded in lexicographic order (n-gram vocabularies
-    // share long prefixes, so most terms reduce to a shared-prefix length
-    // plus a short suffix), followed by the permutation mapping sorted
-    // position -> vocab index, and a CRC over the *decoded* index-ordered
-    // terms so a codec fault can never ship a silently wrong vocabulary.
-    w.varint(terms_.size());
-    std::string_view prev;
-    for (std::int32_t vi : sorted_perm_) {
-      const std::string_view t = terms_[static_cast<std::size_t>(vi)];
-      std::size_t shared = 0;
-      const std::size_t cap = std::min(prev.size(), t.size());
-      while (shared < cap && prev[shared] == t[shared]) ++shared;
-      w.varint(shared);
-      w.varint(t.size() - shared);
-      w.raw(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(t.data()) + shared,
-          t.size() - shared));
-      prev = t;
-    }
-    for (std::int32_t vi : sorted_perm_) {
-      w.varint(static_cast<std::uint64_t>(vi));
-    }
-    serialize::Writer probe(w.format_version());
-    for (auto t : terms_) probe.str(t);
-    w.u32(serialize::crc32(probe.bytes()));
-  } else {
-    // Vocabulary in index order: deterministic bytes regardless of the
-    // unordered_map's layout, and load can rebuild indices positionally.
-    w.u64(terms_.size());
-    for (auto t : terms_) w.str(t);
+  // Vocabulary front-coded in lexicographic order (n-gram vocabularies
+  // share long prefixes, so most terms reduce to a shared-prefix length
+  // plus a short suffix), followed by the permutation mapping sorted
+  // position -> vocab index, and a CRC over the *decoded* index-ordered
+  // terms so a codec fault can never ship a silently wrong vocabulary.
+  w.varint(terms_.size());
+  std::string_view prev;
+  for (std::int32_t vi : sorted_perm_) {
+    const std::string_view t = terms_[static_cast<std::size_t>(vi)];
+    std::size_t shared = 0;
+    const std::size_t cap = std::min(prev.size(), t.size());
+    while (shared < cap && prev[shared] == t[shared]) ++shared;
+    w.varint(shared);
+    w.varint(t.size() - shared);
+    w.raw(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(t.data()) + shared,
+        t.size() - shared));
+    prev = t;
   }
+  for (std::int32_t vi : sorted_perm_) {
+    w.varint(static_cast<std::uint64_t>(vi));
+  }
+  serialize::Writer probe;
+  for (auto t : terms_) probe.str(t);
+  w.u32(serialize::crc32(probe.bytes()));
   w.doubles(idf_);
 }
 
@@ -250,70 +243,54 @@ TfIdfModel TfIdfModel::load(serialize::Reader& r) {
     throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
                                     "tfidf ngram range invalid");
   }
-  if (r.format_version() >= 4) {
-    const std::uint64_t n_terms = r.varlength(2, "tfidf vocabulary");
-    std::vector<std::string> by_index(static_cast<std::size_t>(n_terms));
-    std::vector<std::uint8_t> placed(static_cast<std::size_t>(n_terms), 0);
-    std::string prev;
-    std::vector<std::string> sorted_terms;
-    sorted_terms.reserve(static_cast<std::size_t>(n_terms));
-    for (std::uint64_t j = 0; j < n_terms; ++j) {
-      const std::uint64_t shared = r.varint();
-      const std::uint64_t suffix_len = r.varint();
-      if (shared > prev.size()) {
-        throw serialize::SerializeError(
-            serialize::ErrorCode::CorruptData,
-            "tfidf front-coded prefix exceeds previous term");
-      }
-      const auto suffix = r.raw(static_cast<std::size_t>(suffix_len));
-      std::string term = prev.substr(0, static_cast<std::size_t>(shared));
-      term.append(reinterpret_cast<const char*>(suffix.data()),
-                  suffix.size());
-      if (j > 0 && term <= prev) {
-        throw serialize::SerializeError(
-            serialize::ErrorCode::CorruptData,
-            "tfidf front-coded vocabulary not strictly ascending");
-      }
-      prev = term;
-      sorted_terms.push_back(std::move(term));
-    }
-    for (std::uint64_t j = 0; j < n_terms; ++j) {
-      const std::uint64_t vi = r.varint();
-      if (vi >= n_terms || placed[static_cast<std::size_t>(vi)] != 0) {
-        throw serialize::SerializeError(
-            serialize::ErrorCode::CorruptData,
-            "tfidf vocabulary permutation is not a bijection");
-      }
-      placed[static_cast<std::size_t>(vi)] = 1;
-      by_index[static_cast<std::size_t>(vi)] =
-          std::move(sorted_terms[static_cast<std::size_t>(j)]);
-    }
-    serialize::Writer probe(r.format_version());
-    for (const auto& t : by_index) probe.str(t);
-    if (r.u32() != serialize::crc32(probe.bytes())) {
+  const std::uint64_t n_terms = r.varlength(2, "tfidf vocabulary");
+  std::vector<std::string> by_index(static_cast<std::size_t>(n_terms));
+  std::vector<std::uint8_t> placed(static_cast<std::size_t>(n_terms), 0);
+  std::string prev;
+  std::vector<std::string> sorted_terms;
+  sorted_terms.reserve(static_cast<std::size_t>(n_terms));
+  for (std::uint64_t j = 0; j < n_terms; ++j) {
+    const std::uint64_t shared = r.varint();
+    const std::uint64_t suffix_len = r.varint();
+    if (shared > prev.size()) {
       throw serialize::SerializeError(
-          serialize::ErrorCode::ChecksumMismatch,
-          "decoded tfidf vocabulary fails its CRC");
+          serialize::ErrorCode::CorruptData,
+          "tfidf front-coded prefix exceeds previous term");
     }
-    m.vocab_.reserve(static_cast<std::size_t>(n_terms));
-    for (std::uint64_t i = 0; i < n_terms; ++i) {
-      m.vocab_.emplace(std::move(by_index[static_cast<std::size_t>(i)]),
-                       static_cast<std::int32_t>(i));
+    const auto suffix = r.raw(static_cast<std::size_t>(suffix_len));
+    std::string term = prev.substr(0, static_cast<std::size_t>(shared));
+    term.append(reinterpret_cast<const char*>(suffix.data()), suffix.size());
+    if (j > 0 && term <= prev) {
+      throw serialize::SerializeError(
+          serialize::ErrorCode::CorruptData,
+          "tfidf front-coded vocabulary not strictly ascending");
     }
-  } else {
-    const std::uint64_t n_terms = r.length(8, "tfidf vocabulary");
-    m.vocab_.reserve(static_cast<std::size_t>(n_terms));
-    for (std::uint64_t i = 0; i < n_terms; ++i) {
-      const auto [it, inserted] =
-          m.vocab_.emplace(r.str(), static_cast<std::int32_t>(i));
-      if (!inserted) {
-        throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
-                                        "tfidf vocabulary has duplicate term");
-      }
+    prev = term;
+    sorted_terms.push_back(std::move(term));
+  }
+  for (std::uint64_t j = 0; j < n_terms; ++j) {
+    const std::uint64_t vi = r.varint();
+    if (vi >= n_terms || placed[static_cast<std::size_t>(vi)] != 0) {
+      throw serialize::SerializeError(
+          serialize::ErrorCode::CorruptData,
+          "tfidf vocabulary permutation is not a bijection");
     }
+    placed[static_cast<std::size_t>(vi)] = 1;
+    by_index[static_cast<std::size_t>(vi)] =
+        std::move(sorted_terms[static_cast<std::size_t>(j)]);
+  }
+  serialize::Writer probe;
+  for (const auto& t : by_index) probe.str(t);
+  if (r.u32() != serialize::crc32(probe.bytes())) {
+    throw serialize::SerializeError(serialize::ErrorCode::ChecksumMismatch,
+                                    "decoded tfidf vocabulary fails its CRC");
+  }
+  m.vocab_.reserve(static_cast<std::size_t>(n_terms));
+  for (std::uint64_t i = 0; i < n_terms; ++i) {
+    m.vocab_.emplace(std::move(by_index[static_cast<std::size_t>(i)]),
+                     static_cast<std::int32_t>(i));
   }
   m.idf_ = r.doubles();
-  const std::uint64_t n_terms = m.vocab_.size();
   if (m.idf_.size() != n_terms) {
     throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
                                     "tfidf idf/vocabulary size mismatch");

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -48,11 +47,11 @@ struct Section {
   std::vector<std::uint8_t> payload;
 };
 
-std::vector<std::uint8_t> pack(std::uint32_t kind, std::uint32_t version,
+std::vector<std::uint8_t> pack(std::uint32_t kind,
                                const std::vector<Section>& sections) {
-  Writer w(version);
+  Writer w;
   w.u32(kMagic);
-  w.u32(version);
+  w.u32(kFormatVersion);
   w.u32(kind);
   w.u32(static_cast<std::uint32_t>(sections.size()));
   for (const auto& s : sections) {
@@ -64,13 +63,8 @@ std::vector<std::uint8_t> pack(std::uint32_t kind, std::uint32_t version,
   return w.take();
 }
 
-/// Container contents after header/CRC verification; `version` is threaded
-/// into every section Reader so the codec layer decodes the layout the
-/// artifact was written with.
-struct Unpacked {
-  std::uint32_t version = kFormatVersion;
-  std::map<std::uint32_t, std::vector<std::uint8_t>> sections;
-};
+/// Container contents after header/CRC verification, keyed by section tag.
+using Unpacked = std::map<std::uint32_t, std::vector<std::uint8_t>>;
 
 /// Parse and verify the container: magic, version, kind, and every
 /// section's bounds and checksum.
@@ -84,11 +78,10 @@ Unpacked unpack(std::span<const std::uint8_t> bytes,
     throw SerializeError(ErrorCode::BadMagic, "not a Willump artifact");
   }
   const std::uint32_t version = r.u32();
-  if (version < kMinReadVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     throw SerializeError(ErrorCode::UnsupportedVersion,
                          "artifact version " + std::to_string(version) +
-                             ", this build reads " +
-                             std::to_string(kMinReadVersion) + ".." +
+                             ", this build reads only version " +
                              std::to_string(kFormatVersion));
   }
   const std::uint32_t kind = r.u32();
@@ -103,7 +96,6 @@ Unpacked unpack(std::span<const std::uint8_t> bytes,
                          "section count exceeds artifact size");
   }
   Unpacked out;
-  out.version = version;
   for (std::uint32_t i = 0; i < n_sections; ++i) {
     const std::uint32_t tag = r.u32();
     const std::uint64_t size = r.u64();
@@ -116,8 +108,7 @@ Unpacked unpack(std::span<const std::uint8_t> bytes,
       throw SerializeError(ErrorCode::ChecksumMismatch,
                            "section payload fails its CRC");
     }
-    if (!out.sections
-             .emplace(tag,
+    if (!out.emplace(tag,
                       std::vector<std::uint8_t>(payload.begin(), payload.end()))
              .second) {
       throw SerializeError(ErrorCode::CorruptData, "duplicate section tag");
@@ -127,11 +118,11 @@ Unpacked unpack(std::span<const std::uint8_t> bytes,
 }
 
 Reader section_reader(const Unpacked& u, std::uint32_t tag, const char* what) {
-  auto it = u.sections.find(tag);
-  if (it == u.sections.end()) {
+  auto it = u.find(tag);
+  if (it == u.end()) {
     throw SerializeError(ErrorCode::MissingSection, what);
   }
-  return Reader(it->second, u.version);
+  return Reader(it->second);
 }
 
 // --- graph ---------------------------------------------------------------
@@ -216,7 +207,6 @@ void save_tables(Writer& w, const core::Graph& g) {
     }
   }
   w.u64(tables.size());
-  const bool v4 = w.format_version() >= 4;
   for (const auto& [name, table] : tables) {
     w.str(name);
     w.u64(table->feature_dim());
@@ -224,32 +214,23 @@ void save_tables(Writer& w, const core::Graph& g) {
     keys.reserve(table->rows().size());
     for (const auto& [key, row] : table->rows()) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    if (v4) {
-      // Keys as one delta-coded block (dense entity-id spaces collapse to
-      // ~1 byte/key), rows as one double vector in key order so the
-      // dictionary codec sees the whole table at once.
-      w.i64s_delta(keys);
-      std::vector<double> flat;
-      flat.reserve(keys.size() * table->feature_dim());
-      for (std::int64_t key : keys) {
-        const auto& row = table->rows().at(key).values();
-        flat.insert(flat.end(), row.begin(), row.end());
-      }
-      w.doubles(flat);
-    } else {
-      w.u64(keys.size());
-      for (std::int64_t key : keys) {
-        w.i64(key);
-        for (double v : table->rows().at(key).values()) w.f64(v);
-      }
+    // Keys as one delta-coded block (dense entity-id spaces collapse to
+    // ~1 byte/key), rows as one double vector in key order so the
+    // dictionary codec sees the whole table at once.
+    w.i64s_delta(keys);
+    std::vector<double> flat;
+    flat.reserve(keys.size() * table->feature_dim());
+    for (std::int64_t key : keys) {
+      const auto& row = table->rows().at(key).values();
+      flat.insert(flat.end(), row.begin(), row.end());
     }
+    w.doubles(flat);
   }
 }
 
 OpLoadContext load_tables(Reader& r) {
   OpLoadContext ctx;
-  const bool v4 = r.format_version() >= 4;
-  const std::uint64_t n_tables = r.length(v4 ? 2 : 16, "table list");
+  const std::uint64_t n_tables = r.length(2, "table list");
   for (std::uint64_t t = 0; t < n_tables; ++t) {
     // Remember where this table's wire image starts: byte-identical
     // payloads across replicas / swap generations intern to one object.
@@ -258,41 +239,25 @@ OpLoadContext load_tables(Reader& r) {
     const std::uint64_t dim = r.u64();
     auto table = std::make_shared<store::FeatureTable>(
         name, static_cast<std::size_t>(dim));
-    if (v4) {
-      const std::vector<std::int64_t> keys = r.i64s_delta();
-      const std::vector<double> flat = r.doubles();
-      // Overflow-safe keys*dim == flat.size() check (dim is attacker data).
-      const bool shape_ok =
-          keys.empty() ? flat.empty()
-                       : (flat.size() % keys.size() == 0 &&
-                          flat.size() / keys.size() == dim);
-      if (!shape_ok) {
-        throw SerializeError(ErrorCode::CorruptData,
-                             "table row block does not match key count");
+    const std::vector<std::int64_t> keys = r.i64s_delta();
+    const std::vector<double> flat = r.doubles();
+    // Overflow-safe keys*dim == flat.size() check (dim is attacker data).
+    const bool shape_ok =
+        keys.empty() ? flat.empty()
+                     : (flat.size() % keys.size() == 0 &&
+                        flat.size() / keys.size() == dim);
+    if (!shape_ok) {
+      throw SerializeError(ErrorCode::CorruptData,
+                           "table row block does not match key count");
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      data::DenseVector row(static_cast<std::size_t>(dim));
+      for (std::uint64_t c = 0; c < dim; ++c) {
+        row[static_cast<std::size_t>(c)] =
+            flat[i * static_cast<std::size_t>(dim) +
+                 static_cast<std::size_t>(c)];
       }
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        data::DenseVector row(static_cast<std::size_t>(dim));
-        for (std::uint64_t c = 0; c < dim; ++c) {
-          row[static_cast<std::size_t>(c)] =
-              flat[i * static_cast<std::size_t>(dim) +
-                   static_cast<std::size_t>(c)];
-        }
-        table->put(keys[i], std::move(row));
-      }
-    } else {
-      const std::uint64_t n_rows = r.length(8, "table rows");
-      if (dim > r.remaining() / 8) {
-        throw SerializeError(ErrorCode::Truncated,
-                             "table row width exceeds payload");
-      }
-      for (std::uint64_t i = 0; i < n_rows; ++i) {
-        const std::int64_t key = r.i64();
-        data::DenseVector row(static_cast<std::size_t>(dim));
-        for (std::uint64_t c = 0; c < dim; ++c) {
-          row[static_cast<std::size_t>(c)] = r.f64();
-        }
-        table->put(key, std::move(row));
-      }
+      table->put(keys[i], std::move(row));
     }
     std::shared_ptr<const store::FeatureTable> shared =
         InternPool::instance().intern<store::FeatureTable>(
@@ -355,23 +320,12 @@ core::TrainedCascade load_cascade(Reader& r) {
 
 // --- pipeline artifact ----------------------------------------------------
 
-std::uint32_t artifact_write_version() {
-  const char* env = std::getenv("WILLUMP_WLMP_CODECS");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return 3;
-  return kFormatVersion;
-}
-
 std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p) {
-  return pipeline_to_bytes(p, artifact_write_version());
-}
-
-std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p,
-                                            std::uint32_t format_version) {
   const core::Executor& exec = p.executor();
   const bool compiled =
       dynamic_cast<const core::CompiledExecutor*>(&exec) != nullptr;
 
-  Writer meta(format_version);
+  Writer meta;
   meta.u8(compiled ? 1 : 0);
   meta.u8(p.use_cascades() ? 1 : 0);
   meta.f64(p.topk_config().ck);
@@ -380,23 +334,23 @@ std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p,
   meta.u64(p.cache_capacity_per_ifv());
   meta.u64(p.parallel_threads());
 
-  Writer tables(format_version);
+  Writer tables;
   save_tables(tables, exec.graph());
 
-  Writer graph(format_version);
+  Writer graph;
   save_graph(graph, exec.graph());
 
-  Writer layout(format_version);
+  Writer layout;
   save_layout(layout, exec.analysis().block_cols, exec.analysis().col_begin,
               exec.fg_costs());
 
-  Writer cascade(format_version);
+  Writer cascade;
   save_cascade(cascade, p.cascade());
 
-  Writer kern(format_version);
+  Writer kern;
   kernels::save_autotune_report(kern, p.autotune_report());
 
-  return pack(kPipelineKind, format_version,
+  return pack(kPipelineKind,
               {{kSecMeta, meta.take()},
                {kSecTables, tables.take()},
                {kSecGraph, graph.take()},
@@ -503,12 +457,11 @@ core::OptimizedPipeline load_pipeline(const std::string& path) {
 // --- cascade bundle -------------------------------------------------------
 
 std::vector<std::uint8_t> cascade_bundle_to_bytes(const CascadeBundle& b) {
-  const std::uint32_t version = artifact_write_version();
-  Writer layout(version);
+  Writer layout;
   save_layout(layout, b.block_cols, b.col_begin, b.fg_costs);
-  Writer cascade(version);
+  Writer cascade;
   save_cascade(cascade, b.cascade);
-  return pack(kCascadeKind, version,
+  return pack(kCascadeKind,
               {{kSecLayout, layout.take()}, {kSecCascade, cascade.take()}});
 }
 
@@ -552,17 +505,11 @@ namespace {
 
 void save_column(Writer& w, const data::Column& c) {
   w.u8(static_cast<std::uint8_t>(c.type()));
-  const bool v4 = w.format_version() >= 4;
   switch (c.type()) {
     case data::ColumnType::Int: {
       const auto& xs = c.ints();
-      if (v4) {
-        w.varint(xs.size());
-        for (std::int64_t x : xs) w.svarint(x);
-      } else {
-        w.u64(xs.size());
-        for (std::int64_t x : xs) w.i64(x);
-      }
+      w.varint(xs.size());
+      for (std::int64_t x : xs) w.svarint(x);
       break;
     }
     case data::ColumnType::Double:
@@ -570,11 +517,7 @@ void save_column(Writer& w, const data::Column& c) {
       break;
     case data::ColumnType::String: {
       const auto& xs = c.strings();
-      if (v4) {
-        w.varint(xs.size());
-      } else {
-        w.u64(xs.size());
-      }
+      w.varint(xs.size());
       for (const auto& s : xs) w.str(s);
       break;
     }
@@ -586,23 +529,18 @@ data::Column load_column(Reader& r) {
   if (type > static_cast<std::uint8_t>(data::ColumnType::String)) {
     throw SerializeError(ErrorCode::CorruptData, "column type out of range");
   }
-  const bool v4 = r.format_version() >= 4;
   switch (static_cast<data::ColumnType>(type)) {
     case data::ColumnType::Int: {
-      const std::uint64_t n = v4 ? r.varlength(1, "int column")
-                                 : r.length(8, "int column");
+      const std::uint64_t n = r.varlength(1, "int column");
       data::IntColumn xs;
       xs.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        xs.push_back(v4 ? r.svarint() : r.i64());
-      }
+      for (std::uint64_t i = 0; i < n; ++i) xs.push_back(r.svarint());
       return data::Column(std::move(xs));
     }
     case data::ColumnType::Double:
       return data::Column(data::DoubleColumn(r.doubles()));
     default: {
-      const std::uint64_t n = v4 ? r.varlength(1, "string column")
-                                 : r.length(8, "string column");
+      const std::uint64_t n = r.varlength(1, "string column");
       data::StringColumn xs;
       xs.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t i = 0; i < n; ++i) xs.push_back(r.str());
@@ -639,14 +577,13 @@ core::LabeledData load_labeled(Reader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> split_bundle_to_bytes(const SplitBundle& b) {
-  const std::uint32_t version = artifact_write_version();
-  Writer w(version);
+  Writer w;
   w.str(b.workload);
   w.u8(b.classification ? 1 : 0);
   save_labeled(w, b.train);
   save_labeled(w, b.valid);
   save_labeled(w, b.test);
-  return pack(kSplitKind, version, {{kSecSplits, w.take()}});
+  return pack(kSplitKind, {{kSecSplits, w.take()}});
 }
 
 SplitBundle split_bundle_from_bytes(std::span<const std::uint8_t> bytes) {

@@ -25,16 +25,14 @@ namespace willump::serialize {
 /// integer keys, a dictionary codec for repetitive double vectors, and
 /// front-coded TF-IDF vocabularies — each carrying a CRC-32 over the
 /// *decoded* payload so a codec bug can never silently corrupt fitted
-/// state. Loaders accept v3 and v4; writers emit v4 unless asked not to.
+/// state. This build writes and reads exactly this version.
 inline constexpr std::uint32_t kFormatVersion = 4;
-/// Oldest version this build still reads (v3 artifacts load bit-identically).
-inline constexpr std::uint32_t kMinReadVersion = 3;
 
 /// CRC-32 (ISO-HDLC polynomial, the zlib convention) over a byte span.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 /// CRC-32 over the little-endian byte image of a double vector — the
-/// decoded-payload checksum the v4 dictionary codec carries.
+/// decoded-payload checksum the dictionary codec carries.
 inline std::uint32_t crc32_f64_le(std::span<const double> xs) {
   std::vector<std::uint8_t> b;
   b.reserve(xs.size() * 8);
@@ -63,25 +61,15 @@ inline std::uint32_t crc32_i64_le(std::span<const std::int64_t> xs) {
 
 /// Append-only little-endian byte sink. All multi-byte integers are written
 /// fixed-width little-endian; doubles are written as their IEEE-754 bit
-/// pattern, so a round trip is bit-exact.
-///
-/// The writer carries the artifact format version it is producing: v4
-/// writers emit varint length prefixes and the dictionary/delta codecs,
-/// v3 writers reproduce the legacy fixed-width layout byte for byte (the
-/// backward-compat fixtures and the codec kill switch both rely on this).
-/// Op and model serializers never branch on the version themselves — it
-/// travels inside the Writer they were handed.
+/// pattern, so a round trip is bit-exact. Vectors and strings use the
+/// kFormatVersion codecs: varint length prefixes plus the dictionary/delta
+/// encodings below.
 ///
 /// Not thread-safe (one Writer per serialization in progress; nothing in
 /// the artifact layer shares one across threads). Writes never fail short
 /// of allocation failure; nothing here blocks.
 class Writer {
  public:
-  explicit Writer(std::uint32_t format_version = kFormatVersion)
-      : version_(format_version) {}
-
-  std::uint32_t format_version() const { return version_; }
-
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
@@ -106,13 +94,9 @@ class Writer {
            static_cast<std::uint64_t>(v >> 63));
   }
 
-  /// Length-prefixed UTF-8/opaque bytes (varint prefix in v4).
+  /// Length-prefixed UTF-8/opaque bytes (varint prefix).
   void str(std::string_view s) {
-    if (v4()) {
-      varint(s.size());
-    } else {
-      u64(s.size());
-    }
+    varint(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
@@ -122,17 +106,11 @@ class Writer {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
-  /// Double vectors. v3: fixed count + raw IEEE bits. v4: varint count +
-  /// codec byte — raw, or a dictionary (unique-value table + varint
-  /// indices) when values repeat enough to win, e.g. histogram-binned tree
-  /// thresholds and Zipf-tied IDF weights. Dictionary payloads end with a
-  /// CRC-32 over the decoded doubles.
+  /// Double vectors: varint count + codec byte — raw, or a dictionary
+  /// (unique-value table + varint indices) when values repeat enough to
+  /// win, e.g. histogram-binned tree thresholds and Zipf-tied IDF weights.
+  /// Dictionary payloads end with a CRC-32 over the decoded doubles.
   void doubles(std::span<const double> xs) {
-    if (!v4()) {
-      u64(xs.size());
-      for (double x : xs) f64(x);
-      return;
-    }
     varint(xs.size());
     const std::size_t n = xs.size();
     std::unordered_map<std::uint64_t, std::uint32_t> dict;
@@ -166,25 +144,15 @@ class Writer {
   }
 
   void sizes(std::span<const std::size_t> xs) {
-    if (!v4()) {
-      u64(xs.size());
-      for (std::size_t x : xs) u64(x);
-      return;
-    }
     varint(xs.size());
     for (std::size_t x : xs) varint(x);
   }
 
-  /// Ascending i64 keys. v3: fixed count + raw. v4: svarint first value +
+  /// Ascending i64 keys: varint count + svarint first value +
   /// varint deltas (dense key spaces collapse to ~1 byte/key) + CRC-32
   /// over the decoded keys. Callers must pass a sorted span — feature-table
   /// key lists already are.
   void i64s_delta(std::span<const std::int64_t> xs) {
-    if (!v4()) {
-      u64(xs.size());
-      for (std::int64_t x : xs) i64(x);
-      return;
-    }
     varint(xs.size());
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -212,8 +180,6 @@ class Writer {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
-  bool v4() const { return version_ >= 4; }
-
   template <typename T>
   void put_le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -221,17 +187,15 @@ class Writer {
     }
   }
 
-  std::uint32_t version_;
   std::vector<std::uint8_t> buf_;
 };
 
 /// Bounds-checked little-endian reader over a borrowed byte span. Every
 /// overrun throws SerializeError(Truncated); element counts are validated
 /// against the bytes actually remaining before any allocation, so a
-/// bit-flipped length cannot trigger a multi-gigabyte resize. The reader
-/// carries the artifact version it is decoding (the container header's
-/// version, threaded down by unpack) and mirrors the Writer's per-version
-/// layouts; v4 codec payloads additionally verify their decoded-side CRC.
+/// bit-flipped length cannot trigger a multi-gigabyte resize. It mirrors
+/// the Writer's layouts; codec payloads additionally verify their
+/// decoded-side CRC.
 ///
 /// Borrows, never copies: the span must outlive the Reader. Not
 /// thread-safe (the cursor is mutable state); concurrent loads each parse
@@ -239,11 +203,7 @@ class Writer {
 /// positioned mid-structure and must be discarded, not resumed.
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes,
-                  std::uint32_t format_version = kFormatVersion)
-      : buf_(bytes), version_(format_version) {}
-
-  std::uint32_t format_version() const { return version_; }
+  explicit Reader(std::span<const std::uint8_t> bytes) : buf_(bytes) {}
 
   std::uint8_t u8() { return take_le<std::uint8_t>(); }
   std::uint32_t u32() { return take_le<std::uint32_t>(); }
@@ -274,8 +234,7 @@ class Reader {
   }
 
   std::string str() {
-    const std::uint64_t n =
-        v4() ? varlength(1, "string") : length(1, "string");
+    const std::uint64_t n = varlength(1, "string");
     std::string s(reinterpret_cast<const char*>(buf_.data() + pos_),
                   static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
@@ -283,13 +242,6 @@ class Reader {
   }
 
   std::vector<double> doubles() {
-    if (!v4()) {
-      const std::uint64_t n = length(8, "double vector");
-      std::vector<double> xs;
-      xs.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) xs.push_back(f64());
-      return xs;
-    }
     const std::uint64_t n = varlength(1, "double vector");
     const std::uint8_t mode = u8();
     std::vector<double> xs;
@@ -327,15 +279,6 @@ class Reader {
   }
 
   std::vector<std::size_t> sizes() {
-    if (!v4()) {
-      const std::uint64_t n = length(8, "size vector");
-      std::vector<std::size_t> xs;
-      xs.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        xs.push_back(static_cast<std::size_t>(u64()));
-      }
-      return xs;
-    }
     const std::uint64_t n = varlength(1, "size vector");
     std::vector<std::size_t> xs;
     xs.reserve(static_cast<std::size_t>(n));
@@ -346,14 +289,8 @@ class Reader {
   }
 
   std::vector<std::int64_t> i64s_delta() {
-    std::vector<std::int64_t> xs;
-    if (!v4()) {
-      const std::uint64_t n = length(8, "key vector");
-      xs.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) xs.push_back(i64());
-      return xs;
-    }
     const std::uint64_t n = varlength(1, "key vector");
+    std::vector<std::int64_t> xs;
     xs.reserve(static_cast<std::size_t>(n));
     std::int64_t prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -397,7 +334,7 @@ class Reader {
     return checked(u64(), min_elem_bytes, what);
   }
 
-  /// Varint-prefixed counterpart of length() for v4 payloads.
+  /// Varint-prefixed counterpart of length().
   std::uint64_t varlength(std::size_t min_elem_bytes, const char* what) {
     return checked(varint(), min_elem_bytes, what);
   }
@@ -425,8 +362,6 @@ class Reader {
   }
 
  private:
-  bool v4() const { return version_ >= 4; }
-
   std::uint64_t checked(std::uint64_t n, std::size_t min_elem_bytes,
                         const char* what) {
     if (min_elem_bytes > 0 && n > remaining() / min_elem_bytes) {
@@ -455,7 +390,6 @@ class Reader {
   }
 
   std::span<const std::uint8_t> buf_;
-  std::uint32_t version_;
   std::size_t pos_ = 0;
 };
 

@@ -58,9 +58,8 @@ ops::OperatorPtr load_scale(Reader& r, const OpLoadContext&) {
 }
 
 ops::OperatorPtr load_keyword_count(Reader& r, const OpLoadContext&) {
-  // v4 strings carry 1-byte varint prefixes, so the per-element floor drops.
-  const std::uint64_t n =
-      r.length(r.format_version() >= 4 ? 1 : 8, "keyword list");
+  // Strings carry varint prefixes, so each keyword takes at least 1 byte.
+  const std::uint64_t n = r.length(1, "keyword list");
   std::vector<std::string> keywords;
   keywords.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) keywords.push_back(r.str());

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 
 #include "models/gbdt.hpp"
 #include "models/linear.hpp"
@@ -14,6 +16,7 @@
 #include "ops/scale.hpp"
 #include "ops/string_ops.hpp"
 #include "ops/tfidf.hpp"
+#include "ops/tokenizer.hpp"
 #include "serialize/buffer.hpp"
 #include "serialize/model_registry.hpp"
 #include "serialize/op_registry.hpp"
@@ -118,6 +121,33 @@ TEST(OpRegistry, TfIdfTransformsIdenticallyAfterReload) {
   }
   EXPECT_EQ(loaded.transform_one("moon unseen red"),
             model.transform_one("moon unseen red"));
+
+  // The front-coded vocabulary (count, per-term shared-prefix/suffix, the
+  // index permutation and its CRC) undercuts a plain list of terms with
+  // fixed 8-byte length prefixes.
+  std::set<std::string> terms;
+  for (const auto& doc : corpus) {
+    for (auto& g : ops::ngrams_of(doc, cfg.analyzer, cfg.ngrams)) {
+      terms.insert(std::move(g));
+    }
+  }
+  ASSERT_EQ(terms.size(), static_cast<std::size_t>(model.vocabulary_size()));
+  std::size_t plain_bytes = 0;
+  for (const auto& t : terms) plain_bytes += t.size() + 8;
+  serialize::Reader v(w.bytes());
+  (void)v.u8();  // analyzer
+  for (int i = 0; i < 4; ++i) (void)v.i32();  // ngram range, max_features, min_df
+  for (int i = 0; i < 3; ++i) (void)v.u8();   // idf / sublinear / l2 flags
+  const std::size_t vocab_begin = v.position();
+  const std::uint64_t n_terms = v.varint();
+  ASSERT_EQ(n_terms, terms.size());
+  for (std::uint64_t j = 0; j < n_terms; ++j) {
+    (void)v.varint();  // shared prefix
+    (void)v.raw(static_cast<std::size_t>(v.varint()));
+  }
+  for (std::uint64_t j = 0; j < n_terms; ++j) (void)v.varint();
+  (void)v.u32();
+  EXPECT_LT(v.position() - vocab_begin, plain_bytes);
 }
 
 TEST(ModelRegistry, EveryFamilyPredictsBitIdenticallyAfterReload) {

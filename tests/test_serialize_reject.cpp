@@ -167,13 +167,18 @@ TEST(SerializeReject, WrongMagicIsBadMagic) {
 }
 
 TEST(SerializeReject, FutureVersionIsUnsupportedVersion) {
-  Bytes bytes = pipeline_artifact();
-  bytes[4] = static_cast<std::uint8_t>(serialize::kFormatVersion + 1);
-  try {
-    serialize::pipeline_from_bytes(bytes);
-    FAIL() << "accepted a future format version";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::UnsupportedVersion);
+  // Exactly kFormatVersion loads: older layouts (v3 was the fixed-width
+  // one) and future ones are both refused before any section is parsed.
+  for (const std::uint32_t version :
+       {0u, 3u, serialize::kFormatVersion + 1}) {
+    Bytes bytes = pipeline_artifact();
+    bytes[4] = static_cast<std::uint8_t>(version);
+    try {
+      serialize::pipeline_from_bytes(bytes);
+      ADD_FAILURE() << "accepted format version " << version;
+    } catch (const SerializeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::UnsupportedVersion) << version;
+    }
   }
 }
 
@@ -210,22 +215,6 @@ TEST(SerializeReject, PipelineTruncationCorpus) {
 
 TEST(SerializeReject, PipelineBitflipCorpus) {
   run_bitflip_corpus(pipeline_artifact(), load_pipeline_fn());
-}
-
-// The default artifact above exercises the v4 compressed sections; the v3
-// legacy layout must reject just as hard under the same reader.
-Bytes pipeline_artifact_v3() {
-  static const Bytes bytes = serialize::pipeline_to_bytes(
-      testing::shared_toxic_optimized().pipeline, 3);
-  return bytes;
-}
-
-TEST(SerializeReject, V3PipelineTruncationCorpus) {
-  run_truncation_corpus(pipeline_artifact_v3(), load_pipeline_fn());
-}
-
-TEST(SerializeReject, V3PipelineBitflipCorpus) {
-  run_bitflip_corpus(pipeline_artifact_v3(), load_pipeline_fn());
 }
 
 TEST(SerializeReject, CascadeBundleTruncationCorpus) {
@@ -381,6 +370,7 @@ TEST(SerializeReject, DictionaryCodecCrcCoversDecodedPayload) {
   w.doubles(xs);
   const Bytes bytes(w.bytes().begin(), w.bytes().end());
   ASSERT_EQ(bytes[1], 1) << "expected the dictionary encoding";
+  EXPECT_LT(bytes.size(), 8 * xs.size()) << "dictionary no smaller than raw";
   {
     serialize::Reader ok(bytes);
     EXPECT_EQ(ok.doubles(), xs);
@@ -405,6 +395,9 @@ TEST(SerializeReject, DeltaKeysCrcCoversDecodedPayload) {
   serialize::Writer w;
   w.i64s_delta(keys);
   const Bytes bytes(w.bytes().begin(), w.bytes().end());
+  // Dense ascending keys take at most 2 bytes each plus the 4-byte CRC,
+  // against 8 bytes each written raw.
+  EXPECT_LE(bytes.size(), 2 * keys.size() + 4);
   {
     serialize::Reader ok(bytes);
     EXPECT_EQ(ok.i64s_delta(), keys);

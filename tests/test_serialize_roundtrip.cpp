@@ -106,19 +106,33 @@ TEST(SerializeRoundtrip, PriceMlpPipeline) {
   expect_bit_identical(trained, loaded, wl.test.inputs);
 }
 
+struct MusicFixture {
+  workloads::Workload wl;
+  OptimizedPipeline trained;
+};
+
+/// A small cascaded music pipeline, trained once per binary.
+const MusicFixture& trained_music() {
+  static const MusicFixture f = [] {
+    workloads::MusicConfig cfg;
+    cfg.sizes = {.train = 1000, .valid = 400, .test = 400};
+    cfg.n_users = 500;
+    cfg.n_songs = 400;
+    cfg.n_artists = 120;
+    auto wl = workloads::make_music(cfg);
+    OptimizeOptions opts;
+    opts.cascades = true;
+    auto trained =
+        WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
+    return MusicFixture{std::move(wl), std::move(trained)};
+  }();
+  return f;
+}
+
 TEST(SerializeRoundtrip, MusicLookupPipeline) {
-  workloads::MusicConfig cfg;
-  cfg.sizes = {.train = 1000, .valid = 400, .test = 400};
-  cfg.n_users = 500;
-  cfg.n_songs = 400;
-  cfg.n_artists = 120;
-  const auto wl = workloads::make_music(cfg);
-  OptimizeOptions opts;
-  opts.cascades = true;
-  const auto trained =
-      WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
-  const auto loaded = reload(trained);
-  expect_bit_identical(trained, loaded, wl.test.inputs);
+  const auto& f = trained_music();
+  const auto loaded = reload(f.trained);
+  expect_bit_identical(f.trained, loaded, f.wl.test.inputs);
 }
 
 TEST(SerializeRoundtrip, FeatureCacheAndTopKConfigSurvive) {
@@ -189,26 +203,16 @@ TEST(SerializeRoundtrip, SwapModelReplacesServedPredictions) {
   server.shutdown();
 }
 
-TEST(SerializeRoundtrip, V3ArtifactsLoadBitIdenticallyUnderV4Reader) {
-  // Backward compatibility: a v3 (pre-codec, fixed-width) artifact of the
-  // same pipeline must load into a pipeline that predicts bit-identically
-  // to both the in-memory original and its v4 re-serialization.
-  auto& f = testing::shared_toxic_optimized();
-  const auto v3_bytes = serialize::pipeline_to_bytes(f.pipeline, 3);
-  const auto v4_bytes = serialize::pipeline_to_bytes(f.pipeline);
-  ASSERT_NE(v3_bytes, v4_bytes);
-  // The codecs actually engage: TF-IDF front-coding + varints shrink toxic.
-  EXPECT_LT(v4_bytes.size(), v3_bytes.size());
-
-  const auto from_v3 = serialize::pipeline_from_bytes(v3_bytes);
-  const auto from_v4 = serialize::pipeline_from_bytes(v4_bytes);
-  expect_bit_identical(f.pipeline, from_v3, f.wl.test.inputs);
-  expect_bit_identical(from_v3, from_v4, f.wl.test.inputs);
-
-  // Re-serializing the v3 load at v3 reproduces the bytes exactly: the
-  // legacy writer path is stable, so codec kill-switch artifacts stay
-  // byte-for-byte reproducible.
-  EXPECT_EQ(serialize::pipeline_to_bytes(from_v3, 3), v3_bytes);
+TEST(SerializeRoundtrip, ArtifactBytesAreStableAcrossLoadAndSave) {
+  // Loading an artifact and saving it again reproduces it byte for byte.
+  // The intern pool keys shared fitted state by exact wire bytes, so a
+  // drifting byte would stop replicas from sharing one copy.
+  const OptimizedPipeline& toxic = testing::shared_toxic_optimized().pipeline;
+  for (const OptimizedPipeline* p : {&toxic, &trained_music().trained}) {
+    const auto bytes = serialize::pipeline_to_bytes(*p);
+    EXPECT_EQ(serialize::pipeline_to_bytes(serialize::pipeline_from_bytes(bytes)),
+              bytes);
+  }
 }
 
 TEST(SerializeRoundtrip, SplitBundleRoundTripsRawSplits) {

@@ -1214,12 +1214,14 @@ TEST(ServerSlo, SaturatingBestEffortDoesNotStarveLatencyCritical) {
 
   // Calibrate the deadline to this machine (and sanitizer): the
   // non-preemptive bound is one in-flight best-effort batch plus the
-  // high-class batch itself; give it ~30 batch-times of headroom.
+  // high-class batch itself; give it ~30 batch-times of headroom. Median
+  // of several timings, so one preempted call cannot inflate the deadline.
   const std::size_t low_batch_cap = 8;
-  common::Timer calib;
-  (void)low.pipeline.predict(low.wl.test.inputs.select_rows(
-      std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  const double low_batch_seconds = std::max(1e-4, calib.elapsed_seconds());
+  const data::Batch low_batch = low.wl.test.inputs.select_rows(
+      std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7});
+  const double low_batch_seconds = std::max(
+      1e-4, common::time_median_seconds(
+                5, [&] { (void)low.pipeline.predict(low_batch); }));
   const double deadline_micros =
       std::max(0.3e6, 30.0 * low_batch_seconds * 1e6);
 
